@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload sweep-cold --seed 1 --seconds 30 \\
+    python3 perfbench/run.py --workload sweep-cold --seed 1 --seconds 45 \\
         --trace 0
 
 prints every end-to-end metric (``--trace 0``) or every per-layer
@@ -24,6 +24,7 @@ import argparse
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -125,10 +126,9 @@ WITNESSES = {
 def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload",
-                        choices=("sweep-cold", "points-cold",
-                                 "sweep-resume"))
+                        choices=("sweep-cold", "sweep-resume"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--tiny", action="store_true",
                         help="self-test size: two workloads, small "
@@ -243,8 +243,9 @@ def check_points(suite: Any, passes: List[Any], reference: Optional[dict],
 
 def run_passes(workload: Any, tracer: Any, budget: float,
                count: Optional[int] = None) -> List[Any]:
-    """Whole passes: *count* of them, or as many as fit *budget*
-    (at least the workload's ``min_passes``).
+    """Whole passes: *count* of them, or as many as end nearest to
+    *budget* (at least the workload's ``min_passes``): the next pass
+    runs unless it would end more than half a pass past the budget.
 
     Garbage from the previous pass is collected first, so every pass
     starts from the same heap and the peak memory is a pass's own.
@@ -260,22 +261,80 @@ def run_passes(workload: Any, tracer: Any, budget: float,
             if len(passes) >= count:
                 return passes
         elif (len(passes) >= workload.min_passes
-              and elapsed + elapsed / len(passes) > budget):
+              and elapsed + elapsed / len(passes) / 2 > budget):
             return passes
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (Lentz)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 500):
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-14:
+            break
+    return h
+
+
+def beta_cdf(a: float, b: float, x: float) -> float:
+    """Regularised incomplete beta function I_x(a, b)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def quantile(values: List[float], q: float) -> float:
+    """Harrell-Davis estimate of the *q* quantile of *values*.
+
+    A weighted mean of all order statistics, weighted by a beta
+    distribution centred on *q*.  Unlike a single order statistic (or
+    two interpolated ones) it does not hang on the one or two points
+    that happen to sit at the quantile, so it moves less from run to
+    run with the same code.
+    """
+    ordered = sorted(values)
+    count = len(ordered)
+    if count == 1:
+        return ordered[0]
+    a, b = q * (count + 1), (1.0 - q) * (count + 1)
+    total, below = 0.0, 0.0
+    for index, value in enumerate(ordered, start=1):
+        upto = beta_cdf(a, b, index / count)
+        total += (upto - below) * value
+        below = upto
+    return total
 
 
 def end_to_end(passes: List[Any], setup_s: float, attempted: int,
                failed: int) -> Dict[str, float]:
+    """The run's figures.  Rates are totals over the whole run: the
+    host's speed flips between a fast and a slow state for seconds to
+    minutes at a time, and a median over passes would snap to one state
+    where the total weighs both by how long each lasted.
+    """
     wall = sum(result.wall_s for result in passes)
-    landed = sum(result.landed for result in passes)
     latencies = [value for result in passes for value in result.latencies]
     return {
-        "points_per_s": landed / wall,
+        "points_per_s": sum(result.landed for result in passes) / wall,
         "sim_insts_per_s":
             sum(result.committed for result in passes) / wall,
-        "latency_p50_s": statistics.median(latencies),
-        "latency_p90_s": (statistics.quantiles(latencies, n=10)[8]
-                          if len(latencies) > 1 else latencies[0]),
+        "latency_p50_s": quantile(latencies, 0.5),
+        "latency_p90_s": quantile(latencies, 0.9),
         "setup_s": setup_s,
         "peak_rss_mb":
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -337,9 +396,8 @@ def warm_up(suite: Any, name: str, seed: int, prepared: Optional[Path],
     """Untimed passes until the CPU and the interpreter are warm."""
     if name == "sweep-resume":
         workload = suite.build(name, seed, WORK, tiny, prepared)
-        workload.run_pass(NullTracer())
-        return
-    workload = suite.build(name, seed, WORK, tiny=True)
+    else:
+        workload = suite.build(name, seed, WORK, tiny=True)
     deadline = time.perf_counter() + WARMUP_S
     while time.perf_counter() < deadline:
         workload.run_pass(NullTracer())

@@ -104,8 +104,6 @@ def check_reference() -> None:
 def configs_for(workload: str, seed: int) -> list:
     if workload == "sweep-cold":
         return suite.sweep_cold_spec(seed).expand()
-    if workload == "points-cold":
-        return suite.points_cold_configs(seed)
     return [c for _, spec in suite.resume_specs(seed) for c in spec.expand()]
 
 
@@ -117,13 +115,12 @@ def check_digest_and_spans(prepared: Path) -> None:
         passes = {name: suite.build(name, 3, run.WORK, tiny=True,
                                     prepared=prepared).run_pass(tracer)
                   for name in suite.WORKLOADS}
-        with tracer.span("api.run"):
-            with Session(cache_dir=str(run.WORK / "selftest-kernel")) as s:
-                kernel_point = s.run(
-                    SimConfig(workload="lattice_milc", engine="kernel",
-                              warmup=suite.TINY_WARMUP,
-                              measure=suite.TINY_MEASURE),
-                    use_cache=False)
+        with Session(cache_dir=str(run.WORK / "selftest-kernel")) as s:
+            kernel_point = s.run(
+                SimConfig(workload="lattice_milc", engine="kernel",
+                          warmup=suite.TINY_WARMUP,
+                          measure=suite.TINY_MEASURE),
+                use_cache=False)
     emitted = {record[0] for record in tracer.spans}
     missing = [name for name in SPANS if name not in emitted]
     check(not missing, f"traced run emits every named span {missing or ''}")

@@ -1,4 +1,4 @@
-"""The benchmark's three workloads, their inputs and their passes.
+"""The benchmark's two workloads, their inputs and their passes.
 
 Every workload is a list of *passes*; a pass is the unit the runner
 repeats and times.  Inputs come only from the workload seed, so one
@@ -7,8 +7,6 @@ number of points, the same trace sharing and the same policy mix.
 
 * ``sweep-cold``: one ``ltp-queues``-shaped sweep per pass against an
   empty result cache and a fresh :class:`~repro.api.ResultStore`.
-* ``points-cold``: 105 one-off points per pass, each through a fresh
-  :class:`~repro.api.Session` with its own trace identity.
 * ``sweep-resume``: the stored ``ltp-queues``, ``policy-compare`` and
   ``learned-compare`` sweeps resumed with ``inspect=True`` by fresh
   sessions; the stores are prepared once per source tree.
@@ -28,13 +26,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import ResultStore, Session, SimConfig, ltp_preset
+from repro.api import ResultStore, Session, SimConfig
 from repro.api.exec import EVENT_FINISHED, EVENT_STARTED
 from repro.api.result import SOURCE_SIMULATED, SOURCE_STORE
 from repro.harness.experiments import sweep_preset
-from repro.workloads import workload_names
 
-WORKLOADS = ("sweep-cold", "points-cold", "sweep-resume")
+WORKLOADS = ("sweep-cold", "sweep-resume")
 #: the seed the recorded reference and the committed figures use
 DEFINITION_SEED = 1
 #: a seed kept out of tuning, for checking later claims
@@ -43,15 +40,6 @@ HELD_OUT_SEED = 9973
 #: sweep-cold draws one IQ size from each band per seed, so every seed
 #: sweeps a small, a medium and a large queue
 IQ_BANDS = ((16, 20), (32, 40), (64, 80))
-#: points-cold (policy, LTP preset) mix; every workload runs each once
-POINT_VARIANTS = (("ltp", "none"), ("ltp", "proposed"),
-                  ("oracle-park", "proposed"),
-                  ("baseline-stall", "proposed"),
-                  ("random-park", "proposed"), ("depth-park", "proposed"),
-                  ("model-park", "proposed"))
-#: points-cold measure lengths; each workload gets every length once,
-#: so its points never share a trace (warmup + measure differs)
-MEASURES = (1000, 1250, 1500, 1750, 2000, 2250, 2500)
 RESUME_PRESETS = ("ltp-queues", "policy-compare", "learned-compare")
 
 #: the self-test size: two workloads and small budgets
@@ -105,27 +93,6 @@ def sweep_cold_spec(seed: int, tiny: bool = False, iq_sizes=None):
     return _tiny_spec(spec) if tiny else spec
 
 
-def points_cold_configs(seed: int, tiny: bool = False) -> List[SimConfig]:
-    """One configuration per workload x variant, seeded measure lengths."""
-    rng = _rng("points-cold", seed)
-    names = workload_names()
-    if tiny:
-        names = names[:TINY_WORKLOADS]
-    configs = []
-    for name in names:
-        measures = list(MEASURES)
-        rng.shuffle(measures)
-        for (policy, preset), measure in zip(POINT_VARIANTS, measures):
-            config = SimConfig(workload=name, policy=policy,
-                               ltp=ltp_preset(preset), measure=measure)
-            if tiny:
-                config.warmup = TINY_WARMUP
-                config.measure = measure // 10
-            configs.append(config.validate())
-    rng.shuffle(configs)
-    return configs
-
-
 def resume_specs(seed: int, tiny: bool = False) -> List[Tuple[str, Any]]:
     """The stored sweeps, in the seed's resume order."""
     order = list(RESUME_PRESETS)
@@ -146,12 +113,6 @@ def reference_universe() -> List[SimConfig]:
     configs = sweep_cold_spec(
         DEFINITION_SEED,
         iq_sizes=[size for band in IQ_BANDS for size in band]).expand()
-    for name in workload_names():
-        for policy, preset in POINT_VARIANTS:
-            for measure in MEASURES:
-                configs.append(SimConfig(workload=name, policy=policy,
-                                         ltp=ltp_preset(preset),
-                                         measure=measure).validate())
     for _, spec in resume_specs(DEFINITION_SEED):
         configs.extend(spec.expand())
     unique: Dict[str, SimConfig] = {}
@@ -164,8 +125,6 @@ def workload_keys(workload: str, seed: int) -> List[str]:
     """Cache keys of every point one pass of *workload* covers."""
     if workload == "sweep-cold":
         return [c.key() for c in sweep_cold_spec(seed).expand()]
-    if workload == "points-cold":
-        return [c.key() for c in points_cold_configs(seed)]
     return [c.key() for _, spec in resume_specs(seed)
             for c in spec.expand()]
 
@@ -285,37 +244,6 @@ class SweepCold(Workload):
         return result
 
 
-class PointsCold(Workload):
-    name = "points-cold"
-
-    def __init__(self, seed: int, work: Path, tiny: bool = False) -> None:
-        super().__init__(work)
-        self.configs = points_cold_configs(seed, tiny)
-
-    def run_pass(self, tracer: Any) -> PassResult:
-        cache = str(self._pass_dir() / "cache")
-        result = PassResult(attempted=len(self.configs))
-        landed = []
-        begin = time.perf_counter()
-        for config in self.configs:
-            start = time.perf_counter()
-            try:
-                with tracer.span("api.run"):
-                    with Session(cache_dir=cache) as session:
-                        landed.append(session.run(config))
-            except Exception as exc:  # noqa: BLE001 - counted, reported
-                result.fail(1, f"{config.workload} raised {exc!r}")
-                continue
-            result.latencies.append(time.perf_counter() - start)
-        result.wall_s = time.perf_counter() - begin
-        for point in landed:
-            if point.source != SOURCE_SIMULATED:
-                result.fail(1, f"{point.key} came from {point.source}, "
-                               f"expected a cold simulation")
-            result.land(point.key, point.stats, point.source)
-        return result
-
-
 class SweepResume(Workload):
     name = "sweep-resume"
 
@@ -334,9 +262,11 @@ class SweepResume(Workload):
         and those must not accumulate across passes.  Stores are
         append-only, so a copy is restored by truncating it back to its
         prepared length; a fresh copy is flushed to disk before timing,
-        so no timed ``fsync`` has to write it out.
+        so no timed ``fsync`` has to write it out.  Copies live under
+        the prepared directory's name, so a copy is only ever truncated
+        back to the store it was copied from.
         """
-        directory = self.work / "passes" / self.name
+        directory = self.work / "passes" / self.name / self.prepared.name
         directory.mkdir(parents=True, exist_ok=True)
         for name, _ in self.specs:
             pristine = self.prepared / f"{name}.jsonl"
@@ -403,8 +333,6 @@ def build(name: str, seed: int, work: Path, tiny: bool = False,
           prepared: Optional[Path] = None) -> Workload:
     if name == "sweep-cold":
         return SweepCold(seed, work, tiny)
-    if name == "points-cold":
-        return PointsCold(seed, work, tiny)
     if name == "sweep-resume":
         return SweepResume(seed, work, tiny, prepared)
     raise ValueError(f"unknown workload {name!r}: choose from "

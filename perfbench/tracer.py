@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 #: spans whose duration belongs to the api layer itself: the
-#: benchmark's request roots and the per-point entry points
-API_SPANS = ("api.run", "api.sweep", "api.point")
+#: benchmark's sweep requests and the per-point entry points
+API_SPANS = ("api.sweep", "api.point")
 
 
 class NullTracer:
