@@ -20,14 +20,15 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.api.session import (default_session, warm_branch_predictor,
+                               warm_hierarchy)
 from repro.core.branch import GsharePredictor
 from repro.core.params import CoreParams, baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
-from repro.harness.runner import (_warm_branch_predictor, _warm_hierarchy,
-                                  get_oracle, get_trace)
 from repro.ltp.config import LTPConfig, no_ltp, proposed_ltp
 from repro.ltp.controller import LTPController
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies import LTPPolicy
 from repro.workloads import get_workload
 
 #: directory holding the committed seed-baseline snapshot
@@ -83,9 +84,10 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
     core = _core(core_kind)
     ltp = _ltp(ltp_kind)
     total = warmup + measure
-    trace = get_trace(workload_name, total)
+    session = default_session()
+    trace = session.get_trace(workload_name, total)
     workload = get_workload(workload_name)
-    oracle = (get_oracle(workload_name, total, core, trace)
+    oracle = (session.get_oracle(workload_name, total, core, trace)
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     measured = trace[warmup:]
@@ -100,23 +102,24 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
     for _ in range(repeats):
         # untimed: rebuild and warm the mutable structures for this rep
         hierarchy = MemoryHierarchy(core.mem)
-        _warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
-                        warm_regions=workload.warm_regions)
+        warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
+                       warm_regions=workload.warm_regions)
         bpred = GsharePredictor()
-        _warm_branch_predictor(bpred, warmup_slice)
+        warm_branch_predictor(bpred, warmup_slice)
         controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
         if ltp.enabled and oracle is not None and warmup:
             controller.warm_from_trace(warmup_slice,
                                        oracle.long_latency[:warmup])
+        policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
         if engine == "kernel":
             from repro.core.kernel import KernelPipeline
             pipeline = KernelPipeline(
-                measured, params=core, ltp=ltp, controller=controller,
+                measured, params=core, ltp=ltp, policy=policy,
                 hierarchy=hierarchy, branch_predictor=bpred,
                 arrays=arrays)
         else:
             pipeline = Pipeline(measured, params=core, ltp=ltp,
-                                controller=controller, hierarchy=hierarchy,
+                                policy=policy, hierarchy=hierarchy,
                                 branch_predictor=bpred)
         start = time.perf_counter()
         stats = pipeline.run()

@@ -9,7 +9,7 @@ run the trace through the cycle model with and without LTP.
 from repro import CoreParams, Pipeline, annotate_trace, limit_ltp
 from repro.harness.report import render_table
 from repro.isa import Executor, Memory, assemble
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 
 # A software prefetch-unfriendly kernel: strided walk with a stride
 # learned from memory, plus a reduction.
@@ -38,10 +38,8 @@ def run(trace, core, ltp=None):
         pipeline = Pipeline(trace, params=core)
     else:
         oracle = annotate_trace(trace, core.mem)
-        controller = LTPController(ltp, core.mem.dram_latency,
-                                   oracle=oracle)
-        pipeline = Pipeline(trace, params=core, ltp=ltp,
-                            controller=controller)
+        policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+        pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
     return pipeline.run()
 
 

@@ -9,8 +9,8 @@ argument of Section 5.6.
 
 import sys
 
-from repro import (SimConfig, baseline_params, ltp_params, no_ltp,
-                   proposed_ltp, run_sim)
+from repro import (Session, SimConfig, baseline_params, ltp_params,
+                   no_ltp, proposed_ltp)
 from repro.energy.model import compute_energy, relative_ed2p
 from repro.harness.charts import bar_chart
 from repro.harness.report import render_table
@@ -23,10 +23,13 @@ def main() -> None:
         ("small IQ:32 RF:96", ltp_params(), no_ltp()),
         ("small + LTP", ltp_params(), proposed_ltp()),
     ]
+    with Session() as session:
+        runs = session.run_many(
+            [SimConfig(workload=workload, core=core, ltp=ltp)
+             for _, core, ltp in configs])
     results = []
-    for label, core, ltp in configs:
-        run = run_sim(SimConfig(workload=workload, core=core, ltp=ltp))
-        energy = compute_energy(core, ltp, run)
+    for (label, core, ltp), run in zip(configs, runs):
+        energy = compute_energy(core, ltp, run.stats)
         results.append((label, run, energy))
 
     base_energy = results[0][2]

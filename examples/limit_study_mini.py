@@ -14,11 +14,11 @@ where *resource* is one of iq / rf / lq / sq.
 
 import sys
 
+from repro.api import Session
+from repro.harness.config import SimConfig
 from repro.harness.experiments import (SWEEP_BASELINE, SWEEP_SIZES,
                                        _limit_core)
-from repro.harness.config import SimConfig
 from repro.harness.report import render_table, size_label
-from repro.harness.runner import run_sim
 from repro.ltp.config import limit_ltp, no_ltp
 
 
@@ -27,9 +27,10 @@ def main() -> None:
     resource = sys.argv[2] if len(sys.argv) > 2 else "iq"
     sizes = SWEEP_SIZES[resource]
 
+    session = Session()
     base_core = _limit_core(resource, SWEEP_BASELINE[resource])
-    base = run_sim(SimConfig(workload=workload, core=base_core,
-                             ltp=no_ltp()))
+    base = session.run(SimConfig(workload=workload, core=base_core,
+                                 ltp=no_ltp()))
     base_cycles = base["cycles"]
 
     variants = [("no-ltp", no_ltp()), ("ltp-nr", limit_ltp("nr")),
@@ -40,8 +41,8 @@ def main() -> None:
         row = [label]
         for size in sizes:
             core = _limit_core(resource, size)
-            result = run_sim(SimConfig(workload=workload, core=core,
-                                       ltp=ltp))
+            result = session.run(SimConfig(workload=workload, core=core,
+                                           ltp=ltp))
             row.append((base_cycles / result["cycles"] - 1.0) * 100.0)
         rows.append(row)
 

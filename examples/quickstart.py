@@ -35,13 +35,8 @@ def main() -> None:
 
     # A Session owns the trace/oracle/result caches and the execution
     # backend; run_many simulates each distinct config exactly once and
-    # returns typed SimResults in order.
-    #
-    # The legacy one-liner still works and is equivalent to running on
-    # the process-global default session:
-    #
-    #     from repro import run_sim
-    #     stats = run_sim(config)          # plain stats dict
+    # returns typed SimResults in order (result.stats is the plain
+    # statistics dict).
     with Session() as session:
         results = session.run_many([c for _, c in labels_and_configs])
 

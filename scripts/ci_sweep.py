@@ -115,7 +115,6 @@ def cmd_coordinate(args) -> int:
     """Run every shard of the sweep from this one process."""
     spec = build_spec(args)
     coordinator = CoordinatorBackend(shards=args.shards, jobs=args.jobs,
-                                     chunksize=args.chunksize,
                                      batch_size=args.batch_size)
     with Session() as session, ResultStore(args.store) as store:
         results = coordinator.run(session, spec, store=store)
@@ -539,7 +538,6 @@ def main(argv=None) -> int:
     coord_p.add_argument("--shards", type=int, default=4)
     coord_p.add_argument("--store", type=Path, required=True)
     coord_p.add_argument("--jobs", "-j", type=int, default=None)
-    coord_p.add_argument("--chunksize", type=int, default=None)
     coord_p.add_argument("--batch-size", type=int, default=None,
                          metavar="N",
                          help="cap on trace-identical points executed "

@@ -3,9 +3,10 @@
 The API layer is organised around four ideas:
 
 * :class:`Session` — owns the trace/oracle/result caches and an
-  execution backend; the one object services and tests hold on to.
-  :func:`default_session` is the process-global instance behind the
-  legacy ``run_sim``/``run_sims`` shims.
+  execution backend; the one object services and tests hold on to,
+  and the one path every point runs through (:meth:`Session.run`,
+  ``run_many``, ``sweep``).  :func:`default_session` is the
+  process-global instance the CLI and the paper experiments use.
 * Declarative specs — :class:`~repro.harness.config.SimConfig`
   round-trips through dicts, and :class:`SweepSpec` expands axis
   products into validated configuration lists.
@@ -16,11 +17,10 @@ The API layer is organised around four ideas:
   (:mod:`repro.api.executors`) and are selectable **by name** —
   ``"serial"``, ``"process-pool"``, ``"coordinator"``, ``"remote"``,
   ``"mock"`` — from :class:`Session`, :class:`SweepSpec` or the CLI's
-  ``--executor`` flag; :func:`build_executor` constructs one.
+  ``--executor`` flag; :func:`build_executor` constructs one and
+  :func:`backend_for_jobs` applies the ``--jobs N`` rule.
   :class:`CoordinatorBackend` drives every shard of a sweep from one
-  process (``Session.coordinate`` / ``repro sweep --coordinate``);
-  legacy iterator-style backends are adapted via
-  :class:`LegacyBackendAdapter` (with a ``DeprecationWarning``).
+  process (``Session.coordinate`` / ``repro sweep --coordinate``).
 * Remote execution — :mod:`repro.api.remote`: ``repro worker``
   processes (:class:`WorkerServer`) simulate configs sent over
   length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
@@ -56,15 +56,12 @@ Quick start::
             print(result.config.core.iq_size, result.cpi)
 """
 
-from repro.api.backends import (ExecutionBackend, ProcessPoolBackend,
-                                SerialBackend, backend_for_jobs)
 from repro.api.exec import (CoordinatorBackend, ExecEvent,
                             ExecutionCancelled, ExecutorBackend,
-                            LegacyBackendAdapter, PoolExecutor,
-                            SerialExecutor, SimFuture, WorkerFailure,
-                            as_executor)
-from repro.api.executors import (build_executor, executor_descriptions,
-                                 executor_names)
+                            PoolExecutor, SerialExecutor, SimFuture,
+                            WorkerFailure, as_executor)
+from repro.api.executors import (backend_for_jobs, build_executor,
+                                 executor_descriptions, executor_names)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
                                stat_invariants)
 from repro.api.mock import MockExecutor
@@ -89,17 +86,13 @@ __all__ = [
     "DEFAULT_POLICY",
     "ExecEvent",
     "Experiment",
-    "ExecutionBackend",
     "ExecutionCancelled",
     "ExecutorBackend",
     "InspectorConfig",
-    "LegacyBackendAdapter",
     "MockExecutor",
     "PoolExecutor",
-    "ProcessPoolBackend",
     "RemoteExecutor",
     "ResultStore",
-    "SerialBackend",
     "SerialExecutor",
     "Session",
     "SimConfig",

@@ -1,10 +1,8 @@
 """Futures-based execution: submission, lifecycle events, coordination.
 
-This module is the execution layer's supported surface.  Where the
-original :class:`~repro.api.backends.ExecutionBackend` protocol was a
-blocking batch iterator (``execute(session, items) -> outcomes``), the
-submission protocol decomposes execution into observable, controllable
-pieces:
+This module is the execution layer.  Every executor implements one
+submission protocol, so execution is decomposed into observable,
+controllable pieces:
 
 * :class:`SimFuture` — one submitted configuration's pending outcome:
   ``result()`` / ``exception()`` / ``cancel()`` / ``done()``, carrying
@@ -18,17 +16,14 @@ pieces:
   cancellation (``cancel_all`` stops dispatching but drains whatever
   is already in flight).
 * :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
-  ``multiprocessing`` implementations.  Both dispatch
+  ``multiprocessing`` implementations, registered as ``"serial"`` and
+  ``"process-pool"``.  Both dispatch
   :class:`BatchWorkItem`\\ s: queued futures sharing one trace
   identity (workload + total trace length + cache policy + shard) are
   grouped so each dispatch pays one trace generation, one workload
   build and one columnar predecode for the whole group (the
   :class:`~repro.api.session.BatchRunner` amortization).  ``batch_size``
-  caps the group; the pool's legacy ``chunksize`` acts as that cap
-  when no ``batch_size`` is given, so tuned call sites keep their
-  dispatch granularity.
-* :class:`LegacyBackendAdapter` — wraps an iterator-style backend so
-  pre-submission backends keep working (with a ``DeprecationWarning``).
+  caps the group.
 * :class:`CoordinatorBackend` — expands a
   :class:`~repro.api.spec.SweepSpec`, partitions it with
   :meth:`~repro.api.spec.SweepSpec.shard`'s key-stable rule, and
@@ -52,8 +47,8 @@ points.
 
 from __future__ import annotations
 
+import os
 import threading
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
@@ -73,10 +68,10 @@ WorkItem = Tuple[int, "SimConfig", bool]
 #: a completed unit: position, stats dict, wall seconds, result source
 Outcome = Tuple[int, Dict[str, Any], float, str]
 
-#: default cap on trace-shared batch size when neither ``batch_size``
-#: nor a legacy ``chunksize`` is given: large enough to amortize trace
-#: generation and predecode, small enough that progress events, retry
-#: granularity and work stealing stay responsive
+#: default cap on trace-shared batch size when no ``batch_size`` is
+#: given: large enough to amortize trace generation and predecode,
+#: small enough that progress events, retry granularity and work
+#: stealing stay responsive
 DEFAULT_BATCH_SIZE = 16
 
 # ----------------------------------------------------------------------
@@ -220,17 +215,6 @@ class SimFuture:
         self._invoke_callbacks()
         return True
 
-    def _cancel_running(self) -> None:
-        """Force-cancel in-flight work whose outcome will never arrive
-        (the legacy adapter's torn-iterator path)."""
-        with self._cond:
-            if self._state in (_DONE, _CANCELLED):
-                return
-            self._state = _CANCELLED
-            self._cond.notify_all()
-        self._executor._on_future_cancelled(self)
-        self._invoke_callbacks()
-
     # -- waiting ---------------------------------------------------------
     def _wait(self, timeout: Optional[float]) -> None:
         if not self._cond.wait_for(
@@ -363,19 +347,18 @@ _worker_sessions: Dict[str, "Session"] = {}
 def _worker_session(cache_dir: str) -> "Session":
     """The session a pool worker runs against.
 
-    The worker's default (shim) session — with ``fork`` this inherits
-    the parent's session state, including any test overrides on
-    :mod:`repro.harness.runner` — unless the parent session uses a
-    different cache directory, in which case a per-directory worker
-    session is created so disk-cache writes land where the parent will
-    look for them.
+    The worker's default session — with ``fork`` this inherits the
+    parent's, including one installed with
+    :func:`~repro.api.session.set_default_session` — unless the parent
+    session uses a different cache directory, in which case a
+    per-directory worker session is created so disk-cache writes land
+    where the parent will look for them.
     """
-    from repro.harness import runner
-    session = runner._shim_session()
+    from repro.api.session import Session, default_session
+    session = default_session()
     if cache_dir and str(session.results.directory) != cache_dir:
         session = _worker_sessions.get(cache_dir)
         if session is None:
-            from repro.api.session import Session
             session = Session(cache_dir=cache_dir)
             _worker_sessions[cache_dir] = session
     return session
@@ -401,8 +384,7 @@ def _chunk_worker(
     ``(index, None, 0.0, "", error)`` — alongside the usual four-tuple
     :data:`Outcome` successes — so one bad point costs one single-item
     retry instead of re-failing the whole chunk.  Heterogeneous chunks
-    (legacy dispatchers, hand-built batches) fall back to per-item
-    execution.
+    (hand-built batches) fall back to per-item execution.
     """
     identities = {(config.workload, config.warmup + config.measure,
                    use_cache)
@@ -433,8 +415,7 @@ class ExecutorBackend:
 
     Subclasses implement :meth:`as_completed`, the drive loop that
     resolves every submitted future; everything else — submission,
-    progress callbacks, cancellation bookkeeping, the legacy
-    ``execute()`` compatibility shim — is shared here.
+    progress callbacks, cancellation bookkeeping — is shared here.
 
     Parameters
     ----------
@@ -642,30 +623,22 @@ class ExecutorBackend:
                        wall_time_s=result.wall_time_s)
             return
 
-    # -- legacy-compatible batch surface ---------------------------------
-    def execute(self, session: "Session",
-                items: List[WorkItem]) -> Iterator[Outcome]:
-        """Iterator-protocol compatibility: submit, drive, yield tuples.
-
-        Lets any futures executor keep satisfying the original
-        :class:`~repro.api.backends.ExecutionBackend` protocol; failed
-        items raise their :class:`WorkerFailure`, cancelled items are
-        skipped.
-        """
-        self.bind(session)
-        for item in items:
-            self.submit(item)
-        for future in self.as_completed():
-            if future.cancelled():
-                continue
-            result = future.result()
-            yield (future.index, result.stats, result.wall_time_s,
-                   result.source)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
+def default_jobs() -> int:
+    """Worker count: ``REPRO_JOBS`` env var, else the CPU count."""
+    env = os.environ.get("REPRO_JOBS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return os.cpu_count() or 1
+
+
+@register_executor("serial", options=("max_retries", "batch_size"))
 class SerialExecutor(ExecutorBackend):
     """Run every submitted configuration in-process, submission order.
 
@@ -683,20 +656,19 @@ class SerialExecutor(ExecutorBackend):
         yield from self._drain_inline(self._require_session())
 
 
+@register_executor("process-pool",
+                   options=("jobs", "max_retries", "batch_size"))
 class PoolExecutor(ExecutorBackend):
     """Fan submitted configurations over a ``multiprocessing`` pool.
 
-    ``jobs=None`` uses :func:`repro.harness.runner.default_jobs`
+    ``jobs=None`` uses :func:`default_jobs`
     (``REPRO_JOBS`` env var, else the CPU count).  Queues that would
     not benefit from a pool (one pending item, or one worker) degrade
     to in-process execution.  The unit of worker dispatch is the
     :class:`BatchWorkItem`: trace-identical queued futures travel
     together (capped by ``batch_size``), and the worker runs the whole
     group through one :class:`~repro.api.session.BatchRunner` — one
-    trace generation, one predecode per dispatch.  The legacy
-    ``chunksize`` knob survives as the batch cap when ``batch_size``
-    is not given (its old heuristic is subsumed by batch sizing; see
-    ``scripts/bench.py --tune-chunksize``).  Per-point failures come
+    trace generation, one predecode per dispatch.  Per-point failures come
     back in-band and are redispatched singly with per-point
     ``attempts``, so one bad point cannot re-fail a whole batch.
 
@@ -719,39 +691,26 @@ class PoolExecutor(ExecutorBackend):
 
     def __init__(self, jobs: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 chunksize: Optional[int] = None,
                  max_retries: int = 1,
                  batch_size: Optional[int] = None) -> None:
         super().__init__(max_retries=max_retries, batch_size=batch_size)
         self.jobs = jobs
         self.start_method = start_method
-        self.chunksize = chunksize
 
     def _resolved_jobs(self) -> int:
         if self.jobs is not None:
             return max(1, self.jobs)
-        from repro.harness.runner import default_jobs
         return default_jobs()
-
-    def _resolved_chunksize(self, items: int, workers: int) -> int:
-        if self.chunksize is not None:
-            return max(1, self.chunksize)
-        # deterministic: ~4 chunks per worker, capped so progress
-        # events stay reasonably fine-grained
-        return max(1, min(8, items // (workers * 4)))
 
     def _resolved_batch_size(self, items: int, workers: int) -> int:
         """The cap on one dispatched batch.
 
-        An explicit ``batch_size`` wins; an explicit ``chunksize``
-        keeps acting as the dispatch-granularity cap it always was;
-        otherwise batches grow to :data:`DEFAULT_BATCH_SIZE` (bounded
-        by a fair per-worker share of the queue).
+        An explicit ``batch_size`` wins; otherwise batches grow to
+        :data:`DEFAULT_BATCH_SIZE` (bounded by a fair per-worker share
+        of the queue).
         """
         if self.batch_size is not None:
             return max(1, self.batch_size)
-        if self.chunksize is not None:
-            return self._resolved_chunksize(items, workers)
         return max(1, min(DEFAULT_BATCH_SIZE, items // max(1, workers)))
 
     def as_completed(self) -> Iterator[SimFuture]:
@@ -896,13 +855,11 @@ class PoolExecutor(ExecutorBackend):
 
     def __repr__(self) -> str:
         return (f"PoolExecutor(jobs={self.jobs!r}, "
-                f"chunksize={self.chunksize!r}, "
                 f"batch_size={self.batch_size!r})")
 
 
 @register_executor("coordinator",
-                   options=("jobs", "chunksize", "max_retries",
-                            "batch_size"))
+                   options=("jobs", "max_retries", "batch_size"))
 class CoordinatorExecutor(PoolExecutor):
     """The worker pool a coordinated sweep drives (shard-tagged).
 
@@ -915,92 +872,18 @@ class CoordinatorExecutor(PoolExecutor):
     name = "coordinator"
 
 
-class LegacyBackendAdapter(ExecutorBackend):
-    """Drive an iterator-style backend through the submission surface.
-
-    Wraps anything satisfying the original
-    :class:`~repro.api.backends.ExecutionBackend` protocol
-    (``execute(session, items) -> outcomes``) so pre-futures backends
-    keep plugging into :meth:`Session.run_many`.  Construction emits a
-    ``DeprecationWarning`` — new backends should subclass
-    :class:`ExecutorBackend` instead.
-
-    Limitations inherent to the wrapped protocol: ``started`` events
-    fire for the whole batch when it is handed over (the iterator
-    exposes no per-item start), retries are unavailable
-    (``max_retries`` is forced to 0), and cancellation closes the
-    iterator — items the backend never yielded resolve as cancelled.
-    """
-
-    def __init__(self, backend: Any) -> None:
-        super().__init__(max_retries=0)
-        self.backend = backend
-        self.name = getattr(backend, "name", type(backend).__name__)
-        warnings.warn(
-            f"iterator-style execution backends are deprecated; "
-            f"{type(backend).__name__} should implement the "
-            f"repro.api.exec.ExecutorBackend submission protocol "
-            f"(submit/as_completed) instead of execute()",
-            DeprecationWarning, stacklevel=3)
-
-    def as_completed(self) -> Iterator[SimFuture]:
-        session = self._require_session()
-        self._cancelling = False
-        batch: List[SimFuture] = []
-        while self._queue:
-            future = self._queue.popleft()
-            if future.cancelled():
-                yield future
-                continue
-            batch.append(future)
-        if not batch:
-            return
-        by_index = {future.index: future for future in batch}
-        items: List[WorkItem] = [(f.index, f.config, f.use_cache)
-                                 for f in batch]
-        for future in batch:
-            future.attempts = 1
-            future._set_running()
-            self._emit(EVENT_STARTED, future)
-        iterator = self.backend.execute(session, items)
-        try:
-            for index, stats, wall, source in iterator:
-                future = by_index.pop(index)
-                result = SimResult(config=future.config, stats=stats,
-                                   key=future.key, source=source,
-                                   wall_time_s=wall, backend=self.name)
-                future._set_result(result)
-                self._emit(EVENT_FINISHED, future, source=source,
-                           wall_time_s=wall)
-                yield future
-                if self._cancelling:
-                    break
-        finally:
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()
-        for future in list(by_index.values()):
-            future._cancel_running()
-            yield future
-
-    def __repr__(self) -> str:
-        return f"LegacyBackendAdapter({self.backend!r})"
-
-
 def as_executor(backend: Any) -> ExecutorBackend:
-    """Coerce *backend* to the submission protocol.
+    """Check that *backend* implements the submission protocol.
 
-    Futures executors pass through; iterator-style backends are
-    wrapped in a :class:`LegacyBackendAdapter` (which warns); anything
-    else raises ``TypeError``.
+    Futures executors pass through; anything else raises
+    ``TypeError``.
     """
     if isinstance(backend, ExecutorBackend):
         return backend
-    if callable(getattr(backend, "execute", None)):
-        return LegacyBackendAdapter(backend)
     raise TypeError(
-        f"{backend!r} is not an execution backend (need submit()/"
-        f"as_completed(), or a legacy execute() method)")
+        f"{backend!r} is not an execution backend (need the "
+        f"ExecutorBackend submission protocol: submit() and "
+        f"as_completed())")
 
 
 # ----------------------------------------------------------------------
@@ -1026,7 +909,7 @@ class CoordinatorBackend:
     ----------
     shards:
         Partition count *k* (``None`` = the executor's worker count).
-    jobs / chunksize / batch_size / max_retries:
+    jobs / batch_size / max_retries:
         Forwarded to the default :class:`PoolExecutor` when no
         *executor* is supplied.  Sharding stays key-stable under
         batching: the partition is computed per config key first, and
@@ -1040,7 +923,6 @@ class CoordinatorBackend:
 
     def __init__(self, shards: Optional[int] = None,
                  jobs: Optional[int] = None,
-                 chunksize: Optional[int] = None,
                  max_retries: int = 1,
                  executor: Optional[ExecutorBackend] = None,
                  batch_size: Optional[int] = None) -> None:
@@ -1048,7 +930,6 @@ class CoordinatorBackend:
             raise ValueError("shard count must be >= 1")
         self.shards = shards
         self.jobs = jobs
-        self.chunksize = chunksize
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.executor = executor
@@ -1061,7 +942,6 @@ class CoordinatorBackend:
             return self.executor
         from repro.api.executors import build_executor
         return build_executor("coordinator", jobs=self.jobs,
-                              chunksize=self.chunksize,
                               batch_size=self.batch_size,
                               max_retries=self.max_retries)
 

@@ -16,7 +16,7 @@ so module import order never matters.
 
 Each registration names the constructor *options* it accepts;
 :func:`executor_from_options` maps the CLI's ``--jobs`` /
-``--chunksize`` / ``--workers`` flags onto them and rejects
+``--batch-size`` / ``--workers`` flags onto them and rejects
 contradictory combinations (``--executor serial --jobs 4``,
 ``--executor remote --jobs 2``, ``--workers`` on a local executor)
 with a message naming what the executor does take.
@@ -72,8 +72,7 @@ def register_executor(name: str, description: Optional[str] = None,
 
 def _ensure_builtins() -> None:
     """Import the built-in executor definitions (registers them)."""
-    import repro.api.backends  # noqa: F401  (import side effect)
-    import repro.api.exec  # noqa: F401
+    import repro.api.exec  # noqa: F401  (import side effect)
     import repro.api.mock  # noqa: F401
     import repro.api.remote.executor  # noqa: F401
 
@@ -127,9 +126,28 @@ def build_executor(name: str, **options: Any):
     return info.factory(**options)
 
 
+def backend_for_jobs(jobs: Optional[int],
+                     batch_size: Optional[int] = None):
+    """The executor a ``--jobs N`` style flag selects.
+
+    ``1`` is the plain in-process ``"serial"`` executor; anything else
+    (including ``None`` = one worker per CPU and ``0``, its CLI
+    spelling) is ``"process-pool"``, which itself degrades to serial
+    execution when only one worker or work item remains.  Callers
+    wanting any other executor (or explicit options) should use
+    :func:`build_executor` directly.
+    """
+    options: Dict[str, Any] = {}
+    if batch_size is not None:
+        options["batch_size"] = batch_size
+    if jobs == 1:
+        return build_executor("serial", **options)
+    return build_executor("process-pool",
+                          jobs=None if jobs == 0 else jobs, **options)
+
+
 def executor_from_options(name: str,
                           jobs: Optional[int] = None,
-                          chunksize: Optional[int] = None,
                           workers: Optional[Sequence[str]] = None,
                           max_retries: Optional[int] = None,
                           batch_size: Optional[int] = None):
@@ -144,8 +162,7 @@ def executor_from_options(name: str,
     in-process worker).
     """
     info = executor_info(name)
-    provided: Dict[str, Any] = {"jobs": jobs, "chunksize": chunksize,
-                                "workers": workers,
+    provided: Dict[str, Any] = {"jobs": jobs, "workers": workers,
                                 "max_retries": max_retries,
                                 "batch_size": batch_size}
     if name == "serial" and provided["jobs"] == 1:

@@ -1,7 +1,6 @@
 """Typed simulation results for the API boundary.
 
-:func:`repro.harness.runner.run_sim` historically returned the raw
-flattened statistics dict; :class:`SimResult` wraps that dict with the
+:class:`SimResult` wraps the flattened statistics dict with the
 configuration that produced it, the cache key, where the result came
 from (fresh simulation vs. memory/disk cache), which backend executed
 it and how long the simulation took.  Experiment aggregation code keeps

@@ -1,7 +1,6 @@
 """Sessions: explicit ownership of simulation state and execution.
 
-A :class:`Session` owns everything that used to live as module-global
-mutable state in :mod:`repro.harness.runner`:
+A :class:`Session` owns all mutable simulation state:
 
 * the bounded in-process **trace cache** (longest trace per workload,
   LRU beyond a cap),
@@ -10,14 +9,23 @@ mutable state in :mod:`repro.harness.runner`:
 * the **result cache** (memory + disk, directory configurable via
   ``Session(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` env var),
 * the **execution backend** used for batches
-  (:class:`~repro.api.backends.SerialBackend` by default).
+  (:class:`~repro.api.exec.SerialExecutor` by default).
 
 Sessions are context managers — leaving the ``with`` block drops the
 in-memory caches — and independent sessions never share state, so tests
 and services can isolate cache lifetimes explicitly.  A process-global
-default session (:func:`default_session`) backs the legacy
-``run_sim``/``run_sims`` entry points so existing call sites keep
-working unchanged.
+default session (:func:`default_session`) serves the CLI, the paper
+experiments and pool workers.
+
+The execution recipe mirrors the paper's (250 M warmup instructions,
+then a 10 M measured SimPoint), see :meth:`Session._simulate`:
+
+1. generate ``warmup + measure`` dynamic instructions from the workload,
+2. compute the oracle annotation over the *full* trace when the policy
+   needs it (miss levels, Urgent/Non-Ready ground truth),
+3. warm the memory hierarchy, branch predictor and policy on the
+   warmup slice (functionally, no timing),
+4. run the timing pipeline over the measured slice.
 """
 
 from __future__ import annotations
@@ -28,20 +36,18 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
-from repro.api.backends import ExecutionBackend, SerialBackend
 from repro.api.exec import (ExecutionCancelled, ExecutorBackend,
-                            ProgressCallback, as_executor)
+                            ProgressCallback, SerialExecutor, as_executor)
 from repro.api.result import (SOURCE_DISK, SOURCE_MEMORY, SOURCE_SIMULATED,
                               SOURCE_STORE, SimResult, cached_result)
 from repro.core.branch import GsharePredictor
 from repro.core.params import CoreParams, cap
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import CODE_BASE, INST_BYTES, Pipeline
 from repro.harness.cachefile import ResultCache
 from repro.harness.config import SimConfig
-from repro.harness.runner import (ORACLE_CACHE_MAX, TRACE_CACHE_MAX,
-                                  warm_branch_predictor, warm_hierarchy)
 from repro.isa.trace import DynInst
 from repro.ltp.oracle import OracleInfo, annotate_trace
+from repro.memory.cache import block_of
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import build_policy, policy_needs_oracle
 from repro.workloads import get_workload
@@ -50,6 +56,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.inspect import SweepInspector
     from repro.api.spec import SweepSpec
     from repro.api.store import ResultStore
+
+#: LRU caps of the in-process memoisation (per session)
+TRACE_CACHE_MAX = 8
+ORACLE_CACHE_MAX = 16
+
+
+# ======================================================================
+# stateless warm-up helpers (module globals: the perf tracer patches
+# them here)
+# ======================================================================
+def warm_hierarchy(hierarchy: MemoryHierarchy, warmup_slice,
+                   program_len: int, warm_regions=()) -> None:
+    """Functionally warm *hierarchy* on the warmup slice."""
+    # Hot metadata a paper-scale warmup (250 M instructions) would leave
+    # resident: the kernels re-walk these small arrays with a period far
+    # longer than our warmup slice, so install them in the L2/L3 first.
+    for base, words in warm_regions:
+        for block in range(block_of(base), block_of(base + words * 8) + 1):
+            hierarchy.l2.insert(block)
+            hierarchy.l3.insert(block)
+    for dyn in warmup_slice:
+        if dyn.is_mem:
+            hierarchy.functional_access(dyn.addr, is_store=dyn.is_store,
+                                        pc=dyn.pc)
+    # warm the instruction path: kernels are tiny, touch every block once
+    for pc in range(program_len):
+        block = block_of(CODE_BASE + pc * INST_BYTES)
+        hierarchy.l1i.insert(block)
+        hierarchy.l2.insert(block)
+        hierarchy.l3.insert(block)
+
+
+def warm_branch_predictor(bpred: GsharePredictor, warmup_slice) -> None:
+    """Train *bpred* on the warmup slice's branches."""
+    for dyn in warmup_slice:
+        if dyn.is_branch:
+            bpred.predict_and_update(dyn.pc, dyn.taken)
 
 
 def _as_backend(backend: Any) -> Any:
@@ -74,23 +117,23 @@ class Session:
         Directory for the disk result cache.  ``None`` falls back to
         ``REPRO_CACHE_DIR`` or the repo-root ``.simcache``.
     backend:
-        Default :class:`ExecutionBackend` for :meth:`run_many` /
-        :meth:`sweep` (``SerialBackend`` when omitted).  A string
-        names a registered executor
+        Default :class:`~repro.api.exec.ExecutorBackend` for
+        :meth:`run_many` / :meth:`sweep` (``SerialExecutor`` when
+        omitted).  A string names a registered executor
         (:func:`repro.api.executors.build_executor`).
     trace_cache_size / oracle_cache_size:
         LRU caps of the in-process memoisation caches.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 backend: Optional[ExecutionBackend] = None,
+                 backend: Optional[ExecutorBackend] = None,
                  trace_cache_size: int = TRACE_CACHE_MAX,
                  oracle_cache_size: int = ORACLE_CACHE_MAX) -> None:
         if trace_cache_size <= 0 or oracle_cache_size <= 0:
             raise ValueError("cache sizes must be positive")
         self.results = ResultCache(cache_dir)
-        self.backend: ExecutionBackend = \
-            _as_backend(backend) or SerialBackend()
+        self.backend: ExecutorBackend = \
+            _as_backend(backend) or SerialExecutor()
         self.trace_cache_size = trace_cache_size
         self.oracle_cache_size = oracle_cache_size
         #: workload name -> (max length ever requested, longest trace);
@@ -121,8 +164,7 @@ class Session:
 
         The caches are cleared in place (never rebound) so references
         handed out earlier keep observing this session's state.  With
-        ``results=False`` the in-memory result cache is kept (the
-        legacy ``runner.clear_memory_caches`` semantics).
+        ``results=False`` the in-memory result cache is kept.
         """
         self._trace_cache.clear()
         self._arrays_cache.clear()
@@ -423,7 +465,7 @@ class Session:
 
     def run_many(self, configs: Iterable[SimConfig],
                  use_cache: bool = True,
-                 backend: Optional[ExecutionBackend] = None,
+                 backend: Optional[ExecutorBackend] = None,
                  store: Optional["ResultStore"] = None,
                  progress: Optional[ProgressCallback] = None,
                  inspect: Any = None,
@@ -436,10 +478,9 @@ class Session:
         configuration is simulated exactly once and duplicates share the
         primary's statistics.  *backend* may be a futures-style
         :class:`~repro.api.exec.ExecutorBackend`, a registered executor
-        name (``"serial"``, ``"process-pool"``, ``"remote"``, …), or a
-        legacy iterator-style backend (adapted, with a
-        ``DeprecationWarning``);
-        *progress* receives every :class:`~repro.api.exec.ExecEvent`.
+        name (``"serial"``, ``"process-pool"``, ``"remote"``, …);
+        anything else raises ``TypeError``.  *progress* receives every
+        :class:`~repro.api.exec.ExecEvent`.
 
         With a :class:`~repro.api.store.ResultStore`, points whose keys
         the store already holds are served from it (``source ==
@@ -465,7 +506,7 @@ class Session:
                            inspect=as_inspector(inspect, store))
 
     def sweep(self, spec: "SweepSpec", use_cache: bool = True,
-              backend: Optional[ExecutionBackend] = None,
+              backend: Optional[ExecutorBackend] = None,
               store: Optional["ResultStore"] = None,
               shard: Optional[Tuple[int, int]] = None,
               progress: Optional[ProgressCallback] = None,
@@ -508,7 +549,6 @@ class Session:
                    store: Optional["ResultStore"] = None,
                    shards: Optional[int] = None,
                    jobs: Optional[int] = None,
-                   chunksize: Optional[int] = None,
                    batch_size: Optional[int] = None,
                    use_cache: bool = True,
                    progress: Optional[ProgressCallback] = None,
@@ -528,7 +568,6 @@ class Session:
         """
         from repro.api.exec import CoordinatorBackend
         coordinator = CoordinatorBackend(shards=shards, jobs=jobs,
-                                         chunksize=chunksize,
                                          batch_size=batch_size,
                                          executor=executor)
         return coordinator.run(self, spec, store=store,
@@ -599,27 +638,6 @@ class Session:
         stats["workload"] = config.workload
         stats["category"] = workload.category
         return stats
-
-    # ------------------------------------------------------------------
-    # internal: shim support
-    # ------------------------------------------------------------------
-    def _with_result_cache(self, results: ResultCache) -> "Session":
-        """A view of this session with a different result cache.
-
-        Trace/oracle caches (and their bounds) are shared with the
-        parent; only result caching is redirected.  Used by the legacy
-        ``run_sim`` shims when tests override the module-level cache.
-        """
-        view = Session.__new__(Session)
-        view.results = results
-        view.backend = self.backend
-        view.trace_cache_size = self.trace_cache_size
-        view.oracle_cache_size = self.oracle_cache_size
-        view._trace_cache = self._trace_cache
-        view._arrays_cache = self._arrays_cache
-        view._oracle_cache = self._oracle_cache
-        view._workload_factory = self._workload_factory
-        return view
 
 
 class BatchRunner:
@@ -696,13 +714,13 @@ class BatchRunner:
 
 
 # ======================================================================
-# process-global default session (backward compatibility)
+# process-global default session
 # ======================================================================
 _default_session: Optional[Session] = None
 
 
 def default_session() -> Session:
-    """The process-global session backing ``run_sim``/``run_sims``."""
+    """The process-global session (CLI, experiments, pool workers)."""
     global _default_session
     if _default_session is None:
         _default_session = Session()

@@ -53,9 +53,8 @@ annotation rows, and quarantined points re-run on ``--resume``.
 Everything routes through :mod:`repro.api`: the LTP presets come from
 the shared registry in :mod:`repro.ltp.config`, experiments resolve via
 the decorator registry, and simulations run on the process-global
-default :class:`~repro.api.session.Session` (via the shim-aware
-:func:`repro.harness.runner.run_sim_result`, so harness-level test
-overrides apply to the CLI too).
+default :class:`~repro.api.session.Session`
+(:func:`~repro.api.session.set_default_session` redirects them).
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ from repro.harness.experiments import (resolve_sweep_spec,
                                        sweep_preset_names)
 from repro.harness.report import (render_json, render_sweep_summary,
                                   render_table)
-from repro.harness.runner import run_sim_result
 from repro.ltp.config import LTP_PRESETS
 from repro.ltp.oracle import annotate_trace
 from repro.policies import DEFAULT_POLICY, policy_names
@@ -227,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 1 = the serial executor; "
                               "0 = one per CPU; >1 selects the "
                               "process-pool executor)")
-    sweep_p.add_argument("--chunksize", type=int, default=None,
-                         help="work items per pool round trip "
-                              "(default: auto; acts as the batch cap "
-                              "when --batch-size is not given)")
     sweep_p.add_argument("--batch-size", type=int, default=None,
                          metavar="N",
                          help="cap on trace-identical points executed "
@@ -369,7 +363,7 @@ def cmd_run(args, out) -> int:
         config.warmup = args.warmup
     if args.measure is not None:
         config.measure = args.measure
-    result = run_sim_result(config, use_cache=not args.no_cache)
+    result = default_session().run(config, use_cache=not args.no_cache)
     if args.json:
         print(render_json(result.to_dict()), file=out)
         return 0
@@ -665,7 +659,6 @@ def cmd_sweep(args, out) -> int:
         contradictory = [
             ("--executor", args.executor is not None),
             ("--jobs", args.jobs != 1),
-            ("--chunksize", args.chunksize is not None),
             ("--batch-size", args.batch_size is not None),
             ("--workers", args.workers is not None),
             ("--max-retries", args.max_retries is not None),
@@ -731,7 +724,6 @@ def cmd_sweep(args, out) -> int:
             coordinator = CoordinatorBackend(
                 shards=args.shards,
                 jobs=None if args.jobs == 0 else args.jobs,
-                chunksize=args.chunksize,
                 batch_size=args.batch_size,
                 max_retries=(1 if args.max_retries is None
                              else args.max_retries))
@@ -745,7 +737,6 @@ def cmd_sweep(args, out) -> int:
                     backend = executor_from_options(
                         args.executor,
                         jobs=None if args.jobs == 1 else args.jobs,
-                        chunksize=args.chunksize,
                         workers=args.workers,
                         max_retries=args.max_retries,
                         batch_size=args.batch_size)
@@ -754,7 +745,6 @@ def cmd_sweep(args, out) -> int:
                     return 2
             else:
                 backend = backend_for_jobs(args.jobs,
-                                           chunksize=args.chunksize,
                                            batch_size=args.batch_size)
             results = session.sweep(spec, use_cache=not args.no_cache,
                                     backend=backend, store=store,

@@ -55,7 +55,7 @@ from repro.core.stats import SimStats
 from repro.isa.instructions import OpClass
 from repro.isa.trace import FU_GROUPS, DynInst, predecode_columns
 from repro.ltp.config import LTPConfig
-from repro.ltp.controller import NO_BOUNDARY, LTPController
+from repro.ltp.controller import NO_BOUNDARY
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import AllocationPolicy, LTPPolicy
 
@@ -139,7 +139,6 @@ class KernelPipeline(Pipeline):
     def __init__(self, trace: Sequence[DynInst],
                  params: Optional[CoreParams] = None,
                  ltp: Optional[LTPConfig] = None,
-                 controller: Optional[LTPController] = None,
                  hierarchy: Optional[MemoryHierarchy] = None,
                  branch_predictor: Optional[GsharePredictor] = None,
                  warm_code: bool = True,
@@ -156,7 +155,7 @@ class KernelPipeline(Pipeline):
         # and hot-path bindings; code warming is replayed here from the
         # predecoded max_pc instead of a per-instruction scan
         super().__init__(trace, params=params, ltp=ltp,
-                         controller=controller, hierarchy=hierarchy,
+                         hierarchy=hierarchy,
                          branch_predictor=branch_predictor,
                          warm_code=False, allow_skip=allow_skip,
                          policy=policy)

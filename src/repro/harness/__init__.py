@@ -1,24 +1,18 @@
-"""Experiment harness: runner shims, caching, reports, per-figure sweeps.
+"""Experiment harness: configs, caching, reports, per-figure sweeps.
 
-The mutable runner state now lives in :class:`repro.api.session.Session`
-objects; this package keeps the configuration/result plumbing and the
-legacy functional entry points.
+Simulation state and execution live in :class:`repro.api.session.Session`;
+this package holds the configuration/result plumbing and the paper
+experiments that run on it.
 """
 
 from repro.harness.config import DEFAULT_MEASURE, DEFAULT_WARMUP, SimConfig
 from repro.harness.report import render_json, render_table, size_label
-from repro.harness.runner import (clear_memory_caches, get_trace, run_sim,
-                                  run_sims)
 
 __all__ = [
     "DEFAULT_MEASURE",
     "DEFAULT_WARMUP",
     "SimConfig",
-    "clear_memory_caches",
-    "get_trace",
     "render_json",
     "render_table",
-    "run_sim",
-    "run_sims",
     "size_label",
 ]

@@ -1,8 +1,9 @@
 """One function per paper table/figure; each returns data and renders text.
 
-Every function sweeps configurations through :func:`run_sim` (cached) and
-returns a plain dict; the matching ``render_*`` function prints the rows
-or series the paper's figure plots.  See DESIGN.md for the experiment
+Every function sweeps configurations through the default
+:class:`~repro.api.session.Session` (cached) and returns a plain dict;
+the matching ``render_*`` function prints the rows or series the
+paper's figure plots.  See DESIGN.md for the experiment
 index and EXPERIMENTS.md for paper-vs-measured results.
 
 Sweeps parallelise via a plan/execute split: :func:`plan_configs` runs
@@ -10,8 +11,9 @@ an experiment function in *planning mode* — :func:`_run` records every
 :class:`SimConfig` it would simulate and returns placeholder statistics
 so the sweep's control flow completes without simulating anything —
 then :func:`run_parallel` executes the recorded configurations across a
-``multiprocessing`` pool (:func:`repro.harness.runner.run_sims`) and
-re-runs the experiment for real, where every point is a cache hit.
+``multiprocessing`` pool (``Session.run_many`` on the executor
+:func:`~repro.api.executors.backend_for_jobs` selects) and re-runs the
+experiment for real, where every point is a cache hit.
 
 Each experiment/renderer pair self-registers with the
 :mod:`repro.api.registry` via the ``@experiment(name)`` /
@@ -29,19 +31,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.aggregate import (arithmetic_mean, geometric_mean,
                                       mean_relative_performance)
 from repro.analysis.mlp_class import SensitivityInputs, classify
+from repro.api.executors import backend_for_jobs
 from repro.api.registry import experiment, renderer
+from repro.api.session import default_session
 from repro.api.spec import SweepSpec
 from repro.core.params import CoreParams, baseline_params, ltp_params
 from repro.energy.model import compute_energy, relative_ed2p
 from repro.harness.config import SimConfig
 from repro.harness.report import render_table, size_label
-from repro.harness.runner import run_sim, run_sims
 from repro.ltp.config import LTPConfig, limit_ltp, no_ltp, proposed_ltp
 from repro.ltp.oracle import annotate_trace
 from repro.policies import DEFAULT_POLICY, policy_names
 from repro.util import first_doc_line
-from repro.workloads import (MLP_INSENSITIVE, MLP_SENSITIVE, get_workload,
-                             mlp_insensitive_suite, mlp_sensitive_suite)
+from repro.workloads import (MLP_INSENSITIVE, MLP_SENSITIVE, full_suite,
+                             get_workload)
 
 ASTAR = "ptrchase_astar"
 MILC = "lattice_milc"
@@ -56,10 +59,14 @@ GROUP_LABELS = {
 }
 
 
-def _suite_names(category: str) -> List[str]:
-    if category == MLP_SENSITIVE:
-        return [w.name for w in mlp_sensitive_suite()]
-    return [w.name for w in mlp_insensitive_suite()]
+def _suite_names(category: Optional[str] = None) -> List[str]:
+    """Kernel names of one MLP category — or, with ``None``, of the
+    sensitive then the insensitive suite — building the suite once."""
+    categories = ((category,) if category is not None
+                  else (MLP_SENSITIVE, MLP_INSENSITIVE))
+    suite = full_suite()
+    return [w.name for wanted in categories for w in suite
+            if w.category == wanted]
 
 
 def _group_members(group: str) -> List[str]:
@@ -97,7 +104,7 @@ def _run(workload: str, core: CoreParams, ltp: LTPConfig,
     if _plan_sink is not None:
         _plan_sink.append(config)
         return _PlanStats()
-    return run_sim(config)
+    return default_session().run(config).stats
 
 
 def plan_configs(experiment: Callable, *args, **kwargs) -> List[SimConfig]:
@@ -132,11 +139,12 @@ def run_parallel(experiment: Callable, *args,
 
     Equivalent to calling the experiment directly (identical return
     value) but wall-clock time scales with cores: the sweep is planned,
-    executed via :func:`repro.harness.runner.run_sims`, and the final
-    in-process pass aggregates from the populated cache.
+    executed on the default session over the executor
+    :func:`~repro.api.executors.backend_for_jobs` selects for *jobs*,
+    and the final in-process pass aggregates from the populated cache.
     """
     configs = plan_configs(experiment, *args, **kwargs)
-    run_sims(configs, jobs=jobs)
+    default_session().run_many(configs, backend=backend_for_jobs(jobs))
     return experiment(*args, **kwargs)
 
 
@@ -930,9 +938,7 @@ def ltp_queue_sweep(workloads: Optional[Sequence[str]] = None,
     kernel suite — the axis product behind the paper's headline
     figures, and the sweep CI shards four ways.
     """
-    names = (list(workloads) if workloads is not None
-             else [w.name for w in (mlp_sensitive_suite()
-                                    + mlp_insensitive_suite())])
+    names = list(workloads) if workloads is not None else _suite_names()
     return SweepSpec(
         workloads=names,
         core=ltp_params(),
@@ -954,9 +960,7 @@ def policy_compare_sweep(workloads: Optional[Sequence[str]] = None,
     (oracle / random / depth parking) on identical cores and budgets,
     shardable and resumable like any other sweep.
     """
-    names = (list(workloads) if workloads is not None
-             else [w.name for w in (mlp_sensitive_suite()
-                                    + mlp_insensitive_suite())])
+    names = list(workloads) if workloads is not None else _suite_names()
     return SweepSpec(
         workloads=names,
         core=ltp_params(),
@@ -986,9 +990,7 @@ def learned_compare_sweep(workloads: Optional[Sequence[str]] = None,
     in between.  Identical cores and budgets; ``summarize()`` breaks
     the result down per policy with ED2P deltas against ``ltp``.
     """
-    names = (list(workloads) if workloads is not None
-             else [w.name for w in (mlp_sensitive_suite()
-                                    + mlp_insensitive_suite())])
+    names = list(workloads) if workloads is not None else _suite_names()
     return SweepSpec(
         workloads=names,
         core=ltp_params(),

@@ -36,11 +36,11 @@ from repro.policies.registry import register_policy
 class LTPPolicy(AllocationPolicy):
     """Long Term Parking, driven through the policy seam.
 
-    When *controller* is supplied (legacy ``Pipeline(controller=...)``
-    wiring and tests) it is adopted as-is; otherwise one is built from
-    *ltp*.  Structural attributes (ports, reserve, park flags) mirror
-    *ltp* exactly as the pre-seam pipeline read them off its own
-    config.
+    When *controller* is supplied (a hand-built controller, e.g. one
+    with a custom predictor, handed to the pipeline as ``policy=``) it
+    is adopted as-is; otherwise one is built from *ltp*.  Structural
+    attributes (ports, reserve, park flags) mirror *ltp* exactly as
+    the pre-seam pipeline read them off its own config.
     """
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,

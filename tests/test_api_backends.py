@@ -2,7 +2,10 @@
 identical statistics (the execution-mode-invariant signature and more)."""
 
 
-from repro.api import ProcessPoolBackend, SerialBackend, Session
+import pytest
+
+from repro.api import (ExecutorBackend, PoolExecutor, SerialExecutor,
+                       Session, as_executor, build_executor)
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import limit_ltp, no_ltp
@@ -39,9 +42,9 @@ def _signature(stats: dict) -> dict:
 
 def test_serial_and_pool_backends_are_equivalent(tmp_path):
     serial = Session(cache_dir=str(tmp_path / "serial"),
-                     backend=SerialBackend())
+                     backend=build_executor("serial"))
     pooled = Session(cache_dir=str(tmp_path / "pooled"),
-                     backend=ProcessPoolBackend(jobs=2))
+                     backend=build_executor("process-pool", jobs=2))
     serial_results = serial.run_many(_configs(), use_cache=False)
     pooled_results = pooled.run_many(_configs(), use_cache=False)
     for a, b in zip(serial_results, pooled_results):
@@ -53,7 +56,7 @@ def test_serial_and_pool_backends_are_equivalent(tmp_path):
 
 def test_pool_backend_writes_the_sessions_cache_dir(tmp_path):
     session = Session(cache_dir=str(tmp_path / "pool"),
-                      backend=ProcessPoolBackend(jobs=2))
+                      backend=build_executor("process-pool", jobs=2))
     results = session.run_many(_configs())
     files = list((tmp_path / "pool").glob("*.json"))
     assert len(files) == len(_configs())
@@ -65,7 +68,7 @@ def test_pool_backend_writes_the_sessions_cache_dir(tmp_path):
 
 def test_pool_backend_degrades_to_serial_for_single_item(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    backend = ProcessPoolBackend(jobs=4)
+    backend = build_executor("process-pool", jobs=4)
     results = session.run_many(_configs()[:1], use_cache=False,
                                backend=backend)
     assert results[0]["committed"] == 150
@@ -73,7 +76,7 @@ def test_pool_backend_degrades_to_serial_for_single_item(tmp_path):
 
 def test_pool_jobs_one_runs_in_process(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    backend = ProcessPoolBackend(jobs=1)
+    backend = build_executor("process-pool", jobs=1)
     results = session.run_many(_configs(), use_cache=False,
                                backend=backend)
     assert [r["workload"] for r in results] == \
@@ -81,15 +84,19 @@ def test_pool_jobs_one_runs_in_process(tmp_path):
 
 
 def test_backend_protocol_runtime_check():
-    from repro.api import ExecutionBackend
-    assert isinstance(SerialBackend(), ExecutionBackend)
-    assert isinstance(ProcessPoolBackend(), ExecutionBackend)
+    """The local executors speak the submission protocol."""
+    for name in ("serial", "process-pool", "coordinator"):
+        executor = build_executor(name)
+        assert isinstance(executor, ExecutorBackend)
+        assert as_executor(executor) is executor
+    assert isinstance(build_executor("serial"), SerialExecutor)
+    assert isinstance(build_executor("process-pool"), PoolExecutor)
 
 
 def test_custom_executor_subclass_plugs_in(tmp_path):
-    """A futures-style backend subclasses SerialBackend/ExecutorBackend."""
+    """A futures-style backend subclasses SerialExecutor/ExecutorBackend."""
 
-    class CountingExecutor(SerialBackend):
+    class CountingExecutor(SerialExecutor):
         name = "counting"
 
         def __init__(self):
@@ -107,28 +114,18 @@ def test_custom_executor_subclass_plugs_in(tmp_path):
     assert all(r.backend == "counting" for r in results)
 
 
-def test_legacy_iterator_backend_plugs_in(tmp_path):
-    """A bare `name` + `execute()` object still works (adapted, with a
-    DeprecationWarning)."""
-    import pytest
+def test_iterator_only_backend_is_rejected(tmp_path):
+    """An object with only ``execute()`` (the retired iterator
+    protocol) is not a backend: run_many refuses it up front and says
+    what the protocol needs."""
 
-    class CountingBackend:
-        name = "counting"
-
-        def __init__(self):
-            self.calls = 0
+    class IteratorBackend:
+        name = "iterator"
 
         def execute(self, session, items):
-            self.calls += len(items)
-            for index, config, use_cache in items:
-                result = session.run(config, use_cache=use_cache)
-                yield (index, result.stats, result.wall_time_s,
-                       result.source)
+            raise AssertionError("must never be driven")
 
-    backend = CountingBackend()
-    session = Session(cache_dir=str(tmp_path), backend=backend)
-    with pytest.warns(DeprecationWarning,
-                      match="iterator-style execution backends"):
-        results = session.run_many(_configs()[:2], use_cache=False)
-    assert backend.calls == 2
-    assert all(r.backend == "counting" for r in results)
+    session = Session(cache_dir=str(tmp_path))
+    with pytest.raises(TypeError, match=r"submit\(\) and as_completed\(\)"):
+        session.run_many(_configs()[:1], use_cache=False,
+                         backend=IteratorBackend())

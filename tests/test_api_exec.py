@@ -1,5 +1,5 @@
 """The futures-based execution layer: submission, lifecycle events,
-retries, cancellation, the legacy adapter and the sweep coordinator."""
+retries, cancellation and the sweep coordinator."""
 
 import multiprocessing
 import os
@@ -8,9 +8,8 @@ from collections import Counter
 import pytest
 
 from repro.api import (CoordinatorBackend, ExecutionCancelled,
-                       LegacyBackendAdapter, PoolExecutor, ResultStore,
-                       SerialBackend, SerialExecutor, Session, SweepSpec,
-                       WorkerFailure, as_executor)
+                       PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepSpec, WorkerFailure, as_executor)
 from repro.api import exec as exec_mod
 from repro.core.params import baseline_params
 from repro.harness.config import SimConfig
@@ -98,7 +97,7 @@ def test_progress_events_exactly_once_pool(tmp_path):
     session = Session(cache_dir=str(tmp_path))
     events = []
     configs = make_configs(4)
-    backend = PoolExecutor(jobs=2, chunksize=1)
+    backend = PoolExecutor(jobs=2, batch_size=1)
     session.run_many(configs, use_cache=False, backend=backend,
                      progress=events.append)
     per_key = {}
@@ -124,7 +123,7 @@ def test_event_payloads_are_json_ready(tmp_path):
 # ------------------------------------------------------- cancellation
 def test_cancel_mid_sweep_leaves_store_resumable(tmp_path):
     spec = make_spec()
-    backend = SerialBackend()
+    backend = SerialExecutor()
     finished = []
 
     def cancel_after_two(event):
@@ -181,7 +180,7 @@ def test_cancelled_events_fire_exactly_once(tmp_path):
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
 def test_pool_cancel_drains_in_flight(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    backend = PoolExecutor(jobs=2, chunksize=1)
+    backend = PoolExecutor(jobs=2, batch_size=1)
     events = []
 
     def cancel_after_first(event):
@@ -294,7 +293,7 @@ def test_pool_worker_crash_recovers_on_retry(tmp_path, monkeypatch):
     monkeypatch.setattr(exec_mod, "_chunk_worker",
                         _crash_once_chunk_worker)
     session = Session(cache_dir=str(tmp_path / "cache"))
-    backend = PoolExecutor(jobs=2, chunksize=2, max_retries=1)
+    backend = PoolExecutor(jobs=2, batch_size=2, max_retries=1)
     events = []
     results = session.run_many(make_configs(4), use_cache=False,
                                backend=backend, progress=events.append)
@@ -317,51 +316,7 @@ def test_run_many_raises_worker_failure(tmp_path):
                          backend=SerialExecutor(max_retries=0))
 
 
-# ------------------------------------------------------ legacy adapter
-class OldStyleBackend:
-    """An iterator-protocol backend, as third parties wrote them."""
-
-    name = "old-style"
-
-    def __init__(self):
-        self.calls = 0
-
-    def execute(self, session, items):
-        self.calls += len(items)
-        for index, config, use_cache in items:
-            result = session.run(config, use_cache=use_cache)
-            yield index, result.stats, result.wall_time_s, result.source
-
-
-def test_legacy_backend_adapts_with_deprecation_warning(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    backend = OldStyleBackend()
-    configs = make_configs(2)
-    with pytest.warns(DeprecationWarning,
-                      match="iterator-style execution backends"):
-        results = session.run_many(configs, use_cache=False,
-                                   backend=backend)
-    assert backend.calls == 2
-    assert [r.backend for r in results] == ["old-style", "old-style"]
-    with Session(cache_dir=str(tmp_path / "ref")) as ref:
-        serial = ref.run_many(configs, use_cache=False)
-    assert [r.stats for r in results] == [r.stats for r in serial]
-
-
-def test_legacy_adapter_emits_lifecycle_events(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    with pytest.warns(DeprecationWarning):
-        adapter = LegacyBackendAdapter(OldStyleBackend())
-    events = []
-    session.run_many(make_configs(2), use_cache=False, backend=adapter,
-                     progress=events.append)
-    per_key = {}
-    for event in events:
-        per_key.setdefault(event.key, Counter())[event.kind] += 1
-    for counts in per_key.values():
-        assert counts == Counter(submitted=1, started=1, finished=1)
-
-
+# ----------------------------------------------------- protocol checks
 def test_as_executor_rejects_non_backends():
     with pytest.raises(TypeError, match="not an execution backend"):
         as_executor(object())
@@ -371,12 +326,16 @@ def test_as_executor_rejects_non_backends():
 
 # --------------------------------------------------------- chunk sizes
 def test_pool_chunksize_is_deterministic():
-    backend = PoolExecutor(jobs=4, chunksize=3)
-    assert backend._resolved_chunksize(100, 4) == 3
+    """The pool's dispatch chunk is its batch cap: an explicit
+    batch_size caps every dispatch; otherwise a chunk is a fair
+    per-worker share of the queue, capped at the default."""
+    backend = PoolExecutor(jobs=4, batch_size=3)
+    assert backend._resolved_batch_size(100, 4) == 3
     auto = PoolExecutor(jobs=4)
-    assert auto._resolved_chunksize(100, 4) == 6
-    assert auto._resolved_chunksize(3, 4) == 1
-    assert auto._resolved_chunksize(1000, 4) == 8
+    assert auto._resolved_batch_size(40, 4) == 10
+    assert auto._resolved_batch_size(3, 4) == 1
+    assert auto._resolved_batch_size(1000, 4) == \
+        exec_mod.DEFAULT_BATCH_SIZE
 
 
 def test_pool_chunked_results_match_serial(tmp_path):
@@ -386,7 +345,7 @@ def test_pool_chunked_results_match_serial(tmp_path):
     with Session(cache_dir=str(tmp_path / "pool")) as session:
         chunked = session.run_many(
             configs, use_cache=False,
-            backend=PoolExecutor(jobs=2, chunksize=2))
+            backend=PoolExecutor(jobs=2, batch_size=2))
     assert [r.stats for r in chunked] == [r.stats for r in serial]
 
 
@@ -459,21 +418,6 @@ def test_session_coordinate_entry_point(tmp_path):
         results = session.coordinate(spec, shards=2, jobs=1)
     assert len(results) == len(spec)
     assert isinstance(results[0].stats["cycles"], int)
-
-
-# -------------------------------------------- protocol compatibility
-def test_new_executors_still_satisfy_iterator_protocol(tmp_path):
-    from repro.api import ExecutionBackend
-    assert isinstance(SerialExecutor(), ExecutionBackend)
-    assert isinstance(PoolExecutor(), ExecutionBackend)
-    session = Session(cache_dir=str(tmp_path))
-    config = make_configs(1)[0]
-    outcomes = list(SerialExecutor().execute(
-        session, [(0, config, False)]))
-    assert len(outcomes) == 1
-    index, stats, wall, source = outcomes[0]
-    assert index == 0 and source == "simulated"
-    assert stats["committed"] == 100
 
 
 def test_unbound_executor_raises():

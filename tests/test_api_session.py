@@ -1,11 +1,11 @@
 """Tests for the repro.api session layer: cache ownership, provenance,
-lifetime control, and the default-session shims."""
+lifetime control, and the process-global default session."""
 
 import pytest
 
-from repro.api import Session, SimResult, default_session
+from repro.api import Session, SimResult, default_session, set_default_session
+from repro.api import session as session_mod
 from repro.core.params import baseline_params
-from repro.harness import runner as runner_mod
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
 
@@ -117,30 +117,18 @@ def test_run_many_resolves_cached_in_process(tmp_path):
     assert results[0].backend == "cache"  # no backend executed it
 
 
-# ------------------------------------------------- default-session shims
-def test_run_sim_shim_matches_session_run():
+# ------------------------------------------------------ default session
+def test_default_session_run_matches_fresh_session(tmp_path):
     config = quick_config()
-    shim = runner_mod.run_sim(config, use_cache=False)
-    direct = default_session().run(config, use_cache=False)
-    assert shim == direct.stats
+    default = default_session().run(config, use_cache=False)
+    fresh = Session(cache_dir=str(tmp_path)).run(config, use_cache=False)
+    assert default.stats == fresh.stats
 
 
-def test_runner_module_attributes_are_session_state():
-    session = default_session()
-    # the legacy attributes still resolve, but deprecated: each read
-    # must say so (the suite-wide filter turns unguarded ones into
-    # errors)
-    with pytest.warns(DeprecationWarning, match="runner._trace_cache"):
-        assert runner_mod._trace_cache is session._trace_cache
-    with pytest.warns(DeprecationWarning, match="runner._oracle_cache"):
-        assert runner_mod._oracle_cache is session._oracle_cache
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        assert runner_mod._result_cache is session.results
-
-
-def test_run_sim_shim_honours_monkeypatched_get_workload(monkeypatch):
-    """The shims resolve workloads through runner.get_workload at call
-    time, so stubbed workloads reach the whole execution path."""
+def test_session_honours_monkeypatched_get_workload(tmp_path, monkeypatch):
+    """A session resolves workloads through the session module's
+    ``get_workload`` as bound at construction, so a stub patched in
+    before the session is built reaches the whole execution path."""
 
     class StubWorkload:
         name = "stub"
@@ -158,45 +146,45 @@ def test_run_sim_shim_honours_monkeypatched_get_workload(monkeypatch):
         calls.append(name)
         return StubWorkload()
 
-    monkeypatch.setattr(runner_mod, "get_workload", stub_factory)
-    result = runner_mod.run_sim(quick_config("not_a_real_workload"),
-                                use_cache=False)
+    monkeypatch.setattr(session_mod, "get_workload", stub_factory)
+    session = Session(cache_dir=str(tmp_path))
+    result = session.run(quick_config("not_a_real_workload"),
+                         use_cache=False)
     assert calls and calls[0] == "not_a_real_workload"
     assert result["committed"] == 150
-    runner_mod.clear_memory_caches()
 
 
-def test_runner_shim_honours_result_cache_override(tmp_path, monkeypatch):
-    from conftest import override_legacy_result_cache
-    from repro.harness.cachefile import ResultCache
-    override = ResultCache(str(tmp_path / "override"))
-    override_legacy_result_cache(monkeypatch, override)
-    config = quick_config()
-    runner_mod.run_sim(config)
-    assert override.lookup(config.key()) is not None
-    assert (tmp_path / "override" / f"{config.key()}.json").is_file()
-
-
-def test_shims_track_default_session_after_override_cycle(tmp_path):
-    """A monkeypatch teardown writes the read-back default cache into
-    the module globals; that must not pin the shims to it — a later
-    set_default_session still redirects run_sim."""
-    import pytest
-    from conftest import override_legacy_result_cache
-    from repro.api import set_default_session
-    from repro.harness.cachefile import ResultCache
-
-    monkeypatch = pytest.MonkeyPatch()
-    override = ResultCache(str(tmp_path / "override"))
-    override_legacy_result_cache(monkeypatch, override)
-    monkeypatch.undo()  # leaves the old default cache as a real global
-
-    replacement = Session(cache_dir=str(tmp_path / "fresh"))
+def test_default_session_override_redirects_experiments(tmp_path):
+    """The paper experiments run their points on whatever session
+    set_default_session installed (cache writes land in its dir)."""
+    from repro.harness.experiments import _run
+    replacement = Session(cache_dir=str(tmp_path / "override"))
     previous = set_default_session(replacement)
     try:
         config = quick_config()
-        runner_mod.run_sim(config)
+        stats = _run(config.workload, config.core, config.ltp,
+                     config.warmup, config.measure)
         assert replacement.results.lookup(config.key()) is not None
-        assert (tmp_path / "fresh" / f"{config.key()}.json").is_file()
+        assert (tmp_path / "override" / f"{config.key()}.json").is_file()
+        assert stats["committed"] == 150
     finally:
         set_default_session(previous)
+
+
+def test_default_session_tracks_override_cycle(tmp_path):
+    """Swapping the default session twice and restoring it leaves
+    default_session() on whichever session was installed last."""
+    original = default_session()
+    first = Session(cache_dir=str(tmp_path / "first"))
+    second = Session(cache_dir=str(tmp_path / "second"))
+    previous = set_default_session(first)
+    try:
+        assert previous is original
+        assert set_default_session(second) is first
+        config = quick_config()
+        default_session().run(config)
+        assert second.results.lookup(config.key()) is not None
+        assert first.results.lookup(config.key()) is None
+    finally:
+        set_default_session(previous)
+    assert default_session() is original

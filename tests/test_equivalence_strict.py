@@ -18,17 +18,18 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.api import default_session
+from repro.api.session import warm_branch_predictor, warm_hierarchy
 from repro.core.branch import GsharePredictor
 from repro.core.params import baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
-from repro.harness.runner import (_warm_branch_predictor, _warm_hierarchy,
-                                  get_oracle, get_trace)
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
 from repro.ltp.controller import LTPController
 from repro.ltp.oracle import annotate_trace
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies import LTPPolicy
 from repro.workloads import get_workload
 
 from test_properties_pipeline import random_core, random_ltp, random_program
@@ -44,7 +45,8 @@ def _run_random(trace, core, ltp, **kwargs):
     oracle = annotate_trace(trace, core.mem,
                             window=min(core.rob_size or 256, 256))
     controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller,
+    policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy,
                         **kwargs)
     return pipeline.run().equivalence_signature()
 
@@ -67,22 +69,23 @@ def test_equivalence_random_programs(seed):
 
 def _run_workload(name, core, ltp, warmup, measure, **kwargs):
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
-    oracle = (get_oracle(name, total, core, trace)
+    oracle = (default_session().get_oracle(name, total, core, trace)
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
-    _warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
-                    warm_regions=workload.warm_regions)
+    warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
+                   warm_regions=workload.warm_regions)
     bpred = GsharePredictor()
-    _warm_branch_predictor(bpred, warmup_slice)
+    warm_branch_predictor(bpred, warmup_slice)
     controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
     if ltp.enabled and oracle is not None and warmup:
         controller.warm_from_trace(warmup_slice,
                                    oracle.long_latency[:warmup])
+    policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
     pipeline = Pipeline(trace[warmup:], params=core, ltp=ltp,
-                        controller=controller, hierarchy=hierarchy,
+                        policy=policy, hierarchy=hierarchy,
                         branch_predictor=bpred, **kwargs)
     return pipeline.run().equivalence_signature()
 

@@ -77,12 +77,12 @@ def _serial(stack, tmp_path, max_retries, fail_indices):
 
 
 def _pool(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("process-pool", jobs=2, chunksize=1,
+    return build_executor("process-pool", jobs=2, batch_size=1,
                           max_retries=max_retries)
 
 
 def _coordinator(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("coordinator", jobs=2, chunksize=1,
+    return build_executor("coordinator", jobs=2, batch_size=1,
                           max_retries=max_retries)
 
 

@@ -103,9 +103,9 @@ def test_kernel_engine_matches_object_engine_through_session(tmp_path_factory,
 # batch execution over one shared predecode
 # ================================================================
 def test_simulate_batch_equals_independent_reference_runs():
-    from repro.harness.runner import get_trace
+    from repro.api import default_session
 
-    trace = get_trace("lattice_milc", 600)
+    trace = default_session().get_trace("lattice_milc", 600)
     configs = [no_ltp(), proposed_ltp(),
                proposed_ltp().but(entries=16, ports=2)]
     arrays = predecode(trace)
@@ -118,9 +118,9 @@ def test_simulate_batch_equals_independent_reference_runs():
 
 
 def test_simulate_batch_rejects_mismatched_arrays():
-    from repro.harness.runner import get_trace
+    from repro.api import default_session
 
-    trace = get_trace("stream_triad", 400)
+    trace = default_session().get_trace("stream_triad", 400)
     arrays = predecode(trace[:200])
     with pytest.raises(ValueError):
         KernelPipeline(trace, arrays=arrays)

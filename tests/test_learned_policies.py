@@ -322,9 +322,9 @@ def test_confidence_park_confidence_table_moves(tmp_path):
 def test_loadpred_park_uses_hierarchy_when_attached():
     from repro.core.params import ltp_params
     from repro.core.pipeline import Pipeline
-    from repro.harness.runner import get_trace
+    from repro.api import default_session
     from repro.ltp.config import proposed_ltp
-    trace = get_trace("lattice_milc", 400)
+    trace = default_session().get_trace("lattice_milc", 400)
     pipeline = Pipeline(trace, params=ltp_params(), ltp=proposed_ltp(),
                         policy="loadpred-park")
     # the pipeline attaches its memory hierarchy to the policy

@@ -6,6 +6,7 @@ from repro.core.pipeline import Pipeline
 from repro.ltp.config import LTPConfig, limit_ltp, wib_ltp
 from repro.ltp.controller import LTPController
 from repro.ltp.oracle import annotate_trace
+from repro.policies import LTPPolicy
 
 from tests.test_pipeline_ltp import miss_trace, run_with_ltp, small_core
 
@@ -39,8 +40,9 @@ def test_wib_allocates_registers_at_rename():
     def run(ltp):
         controller = LTPController(ltp, core.mem.dram_latency,
                                    oracle=oracle)
+        policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
         pipeline = Pipeline(trace, params=core, ltp=ltp,
-                            controller=controller)
+                            policy=policy)
         return pipeline.run()
 
     wib_stats = run(wib_ltp())

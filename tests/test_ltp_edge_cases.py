@@ -6,6 +6,7 @@ from repro.core.pipeline import Pipeline
 from repro.ltp.config import limit_ltp
 from repro.ltp.controller import LTPController
 from repro.ltp.oracle import annotate_trace
+from repro.policies import LTPPolicy
 
 from tests.conftest import make_trace
 from tests.test_ltp_controller import make_record, oracle_controller
@@ -69,7 +70,8 @@ def test_monitor_toggle_mid_run_keeps_correctness():
                               park_stores=False)
     oracle = annotate_trace(trace, core.mem, window=64)
     controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
     stats = pipeline.run()
     assert stats.committed == len(trace)
     # LTP parked during the miss phase but the compute tail ran with the

@@ -11,12 +11,11 @@ import json
 
 import pytest
 
-from repro.api import Session, SweepSpec
+from repro.api import Session, SweepSpec, default_session
 from repro.cli import main as cli_main
 from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
-from repro.harness.runner import get_trace
 from repro.ltp.config import no_ltp, proposed_ltp
 from repro.ltp.controller import LTPController
 from repro.policies import (DEFAULT_POLICY, AllocationPolicy,
@@ -146,14 +145,20 @@ def test_depth_park_tracks_dependence_depth():
 
 
 def test_pipeline_rejects_policy_and_controller_together():
-    trace = get_trace("compute_int", 50)
+    """The pipeline takes its LTP controller only inside a policy: a
+    hand-built one travels as ``LTPPolicy(controller=...)``, and the
+    retired ``controller=`` keyword is refused outright."""
+    trace = default_session().get_trace("compute_int", 50)
     controller = LTPController(no_ltp(), 190)
-    with pytest.raises(ValueError, match="not both"):
+    with pytest.raises(TypeError, match="controller"):
         Pipeline(trace, controller=controller, policy="baseline-stall")
+    pipeline = Pipeline(trace, policy=LTPPolicy(no_ltp(), 190,
+                                                controller=controller))
+    assert pipeline.controller is controller
 
 
 def test_pipeline_accepts_policy_by_name():
-    trace = get_trace("compute_int", 100)
+    trace = default_session().get_trace("compute_int", 100)
     pipeline = Pipeline(trace, params=ltp_params(), ltp=proposed_ltp(),
                         policy="random-park")
     assert pipeline.policy.name == "random-park"

@@ -11,8 +11,10 @@ nothing for the behaviors that existed before it:
    perturbed the key, the tracked files would simply not be found.
 2. **Seam-wiring equivalence** — ``policy="ltp"`` /
    ``policy="baseline-stall"`` through the registry must equal the
-   legacy explicit ``Pipeline(controller=...)`` wiring bit-for-bit
-   over a config grid (workloads x LTP variants x queue sizes).
+   pre-seam wiring — a hand-built, explicitly warmed
+   :class:`~repro.ltp.controller.LTPController` handed to the pipeline
+   inside ``LTPPolicy(controller=...)`` — bit-for-bit over a config
+   grid (workloads x LTP variants x queue sizes).
 3. **Soundness of the whole policy space** — every registered policy,
    over random programs and random cores, runs deadlock-free,
    commits every instruction exactly once, respects structure
@@ -34,19 +36,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.api import Session
+from repro.api import Session, default_session
+from repro.api.session import warm_branch_predictor, warm_hierarchy
 from repro.core.branch import GsharePredictor
 from repro.core.params import baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
-from repro.harness.runner import (get_oracle, get_trace,
-                                  warm_branch_predictor, warm_hierarchy)
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
 from repro.ltp.controller import LTPController
 from repro.ltp.oracle import annotate_trace
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.policies import build_policy, policy_names, policy_needs_oracle
+from repro.policies import (LTPPolicy, build_policy, policy_names,
+                            policy_needs_oracle)
 from repro.workloads import get_workload
 
 from test_properties_pipeline import random_core, random_program
@@ -122,14 +124,14 @@ def test_baseline_stall_matches_tracked_no_ltp_stats(tmp_path):
 
 
 # ================================================================
-# 2. registry path == legacy explicit controller wiring
+# 2. registry path == hand-built controller wiring
 # ================================================================
 def _legacy_stats(name, core, ltp, warmup, measure):
     """The pre-seam wiring: hand-built controller, explicit warmup."""
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
-    oracle = (get_oracle(name, total, core, trace)
+    oracle = (default_session().get_oracle(name, total, core, trace)
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
@@ -142,17 +144,18 @@ def _legacy_stats(name, core, ltp, warmup, measure):
         controller.warm_from_trace(warmup_slice,
                                    oracle.long_latency[:warmup])
     pipeline = Pipeline(trace[warmup:], params=core, ltp=ltp,
-                        controller=controller, hierarchy=hierarchy,
-                        branch_predictor=bpred)
+                        policy=LTPPolicy(ltp, core.mem.dram_latency,
+                                         controller=controller),
+                        hierarchy=hierarchy, branch_predictor=bpred)
     return pipeline.run().equivalence_signature()
 
 
 def _policy_stats(policy, name, core, ltp, warmup, measure):
     """The same run through the policy registry."""
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
-    oracle = (get_oracle(name, total, core, trace)
+    oracle = (default_session().get_oracle(name, total, core, trace)
               if policy_needs_oracle(policy, ltp) else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
@@ -267,11 +270,11 @@ def _engine_stats(engine_cls, policy_name, name, core, ltp,
                   warmup, measure):
     """One run through *engine_cls*, full ``as_dict`` statistics."""
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
     needs = (policy_needs_oracle(policy_name, ltp)
              or ltp.classifier == "oracle" or ltp.ll_predictor == "oracle")
-    oracle = get_oracle(name, total, core, trace) if needs else None
+    oracle = default_session().get_oracle(name, total, core, trace) if needs else None
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
     warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
@@ -317,7 +320,7 @@ def test_policies_skip_equivalent_on_real_workloads():
     for name in policy_names():
         for workload in ("lattice_milc", "sparse_gather"):
             core = ltp_params()
-            full = get_trace(workload, 900)
+            full = default_session().get_trace(workload, 900)
             oracle = None
             if policy_needs_oracle(name, ltp):
                 # annotate the FULL trace (producer seqs are absolute)
