@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from repro.api.session import (default_session, warm_branch_predictor,
                                warm_hierarchy)
 from repro.core.branch import GsharePredictor
+from repro.core.kernel import predecode
 from repro.core.params import CoreParams, baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
 from repro.ltp.config import LTPConfig, no_ltp, proposed_ltp
@@ -71,14 +72,11 @@ BENCH_CONFIGS: Dict[str, tuple] = {
 }
 
 
-def run_one(name: str, warmup: int, measure: int, repeats: int,
-            engine: str = "object") -> dict:
+def run_one(name: str, warmup: int, measure: int, repeats: int) -> dict:
     """Benchmark one named configuration; returns a result row.
 
-    *engine* selects the timing implementation: the reference object
-    pipeline or the columnar kernel (:mod:`repro.core.kernel`).  For
-    the kernel, predecode happens once outside the timed region — the
-    shape one predecode-per-workload sweeps execute.
+    The trace is predecoded once outside the timed region — the shape
+    sweeps execute, one predecode per workload.
     """
     workload_name, core_kind, ltp_kind = BENCH_CONFIGS[name]
     core = _core(core_kind)
@@ -91,10 +89,7 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     measured = trace[warmup:]
-    arrays = None
-    if engine == "kernel":
-        from repro.core.kernel import predecode
-        arrays = predecode(trace).window(warmup)
+    arrays = predecode(trace).window(warmup)
 
     _warm_cpu()
     times: List[float] = []
@@ -111,16 +106,9 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
             controller.warm_from_trace(warmup_slice,
                                        oracle.long_latency[:warmup])
         policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
-        if engine == "kernel":
-            from repro.core.kernel import KernelPipeline
-            pipeline = KernelPipeline(
-                measured, params=core, ltp=ltp, policy=policy,
-                hierarchy=hierarchy, branch_predictor=bpred,
-                arrays=arrays)
-        else:
-            pipeline = Pipeline(measured, params=core, ltp=ltp,
-                                policy=policy, hierarchy=hierarchy,
-                                branch_predictor=bpred)
+        pipeline = Pipeline(measured, params=core, ltp=ltp, policy=policy,
+                            hierarchy=hierarchy, branch_predictor=bpred,
+                            arrays=arrays)
         start = time.perf_counter()
         stats = pipeline.run()
         times.append(time.perf_counter() - start)
@@ -130,7 +118,6 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
         "workload": workload_name,
         "core": core_kind,
         "ltp": ltp_kind,
-        "engine": engine,
         "committed": stats.committed,
         "cycles": stats.cycles,
         "ipc": round(stats.ipc, 4),
@@ -142,45 +129,14 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
 
 def run_bench(warmup: int = 2000, measure: int = 4000, repeats: int = 3,
               names: Optional[List[str]] = None) -> dict:
-    """Run the full benchmark matrix; returns the result document body.
-
-    Every configuration is measured A/B on both engines.  The
-    object-engine numbers stay in the row's historical top-level fields
-    (the long-running perf trajectory of the reference pipeline); the
-    kernel run lands under ``row["kernel"]`` with the per-config
-    kernel-over-object ratio in ``row["engine_speedup"]`` (also
-    aggregated in the document's ``engine_speedup`` map).  Both engines
-    must report identical ``committed``/``cycles``/``ipc`` — a
-    divergence here is a correctness bug, not a perf result.
-    """
+    """Run the full benchmark matrix; returns the result document body."""
     names = names or list(BENCH_CONFIGS)
-    configs = {}
-    engine_speedup = {}
-    for name in names:
-        row = run_one(name, warmup, measure, repeats, engine="object")
-        kernel_row = run_one(name, warmup, measure, repeats,
-                             engine="kernel")
-        for field in ("committed", "cycles", "ipc"):
-            if row[field] != kernel_row[field]:
-                raise AssertionError(
-                    f"engine divergence on {name}: {field} "
-                    f"{row[field]} (object) vs {kernel_row[field]} "
-                    f"(kernel)")
-        row["kernel"] = {
-            "best_seconds": kernel_row["best_seconds"],
-            "median_seconds": kernel_row["median_seconds"],
-            "insts_per_sec": kernel_row["insts_per_sec"],
-        }
-        row["engine_speedup"] = round(
-            kernel_row["insts_per_sec"] / row["insts_per_sec"], 3)
-        engine_speedup[name] = row["engine_speedup"]
-        configs[name] = row
     return {
         "warmup": warmup,
         "measure": measure,
         "repeats": repeats,
-        "configs": configs,
-        "engine_speedup": engine_speedup,
+        "configs": {name: run_one(name, warmup, measure, repeats)
+                    for name in names},
     }
 
 
@@ -198,13 +154,9 @@ def load_baseline() -> Optional[dict]:
 def attach_baseline(document: dict) -> dict:
     """Add the seed baseline and per-config speedups to *document*.
 
-    Two speedup maps against the committed seed: the object engine's
-    (``speedup_vs_baseline``, the reference pipeline's own trajectory)
-    and the kernel engine's (``kernel_speedup_vs_baseline``).  The
-    ``headline_speedup`` tracks the *kernel* engine — the shipping fast
-    path — on the headline config; the per-config object numbers remain
-    gated separately by ``scripts/bench.py --check``, so kernel gains
-    can never mask an object-path regression.
+    ``speedup_vs_baseline`` maps every config to its speedup over the
+    committed seed; ``headline_speedup`` is the headline config's.
+    ``scripts/bench.py --check`` gates both.
     """
     baseline = load_baseline()
     document["headline"] = HEADLINE
@@ -212,21 +164,12 @@ def attach_baseline(document: dict) -> dict:
         return document
     document["baseline"] = baseline
     speedup = {}
-    kernel_speedup = {}
     for name, row in document["configs"].items():
         base_row = baseline.get("configs", {}).get(name)
         if base_row and base_row.get("insts_per_sec"):
-            base_ips = base_row["insts_per_sec"]
-            speedup[name] = round(row["insts_per_sec"] / base_ips, 3)
-            kernel_row = row.get("kernel")
-            if kernel_row:
-                kernel_speedup[name] = round(
-                    kernel_row["insts_per_sec"] / base_ips, 3)
+            speedup[name] = round(
+                row["insts_per_sec"] / base_row["insts_per_sec"], 3)
     document["speedup_vs_baseline"] = speedup
-    document["kernel_speedup_vs_baseline"] = kernel_speedup
-    document["headline_engine"] = "kernel"
-    if HEADLINE in kernel_speedup:
-        document["headline_speedup"] = kernel_speedup[HEADLINE]
-    elif HEADLINE in speedup:
+    if HEADLINE in speedup:
         document["headline_speedup"] = speedup[HEADLINE]
     return document

@@ -8,24 +8,20 @@ Usage (from the repo root)::
     python scripts/bench.py --save-baseline  # snapshot benchmarks/perf/baseline_seed.json
 
 The output document records simulated-instructions-per-second for each
-configuration in ``benchmarks.perf.harness.BENCH_CONFIGS``, measured
-A/B on both simulation engines (the reference object pipeline and the
-columnar kernel), alongside the committed pre-optimisation seed
-baseline, the speedups against it per engine, and the per-config
-kernel-over-object ``engine_speedup``.  See README.md ("Performance
-tracking") for how to read the file.
+configuration in ``benchmarks.perf.harness.BENCH_CONFIGS``, alongside
+the committed pre-optimisation seed baseline and the speedups against
+it.  See README.md ("Performance tracking") for how to read the file.
 
 ``--check`` turns the run into a regression gate (CI uses ``--smoke
---check``): the freshly measured headline speedup (the kernel engine
-on ``milc_baseline``) over ``benchmarks/perf/baseline_seed.json`` is
-compared against the speedup recorded in the committed
-``BENCH_pipeline.json`` (read before it is overwritten) within
-:data:`CHECK_TOLERANCE`, and every other config is held to its
-committed per-engine speedup within :data:`PER_CONFIG_TOLERANCE`; the
+--check``): the freshly measured headline speedup (``milc_baseline``)
+over ``benchmarks/perf/baseline_seed.json`` is compared against the
+speedup recorded in the committed ``BENCH_pipeline.json`` (read before
+it is overwritten) within :data:`CHECK_TOLERANCE`, and every config is
+held to its committed speedup within :data:`PER_CONFIG_TOLERANCE`; the
 exit code is nonzero if any gate fails.
 
 ``--sweep`` measures end-to-end sweep throughput (points/sec on the
-``ltp-queues`` preset, kernel engine, pool executor) with trace-shared
+``ltp-queues`` preset, pool executor) with trace-shared
 batching on versus off, and records both rates plus their ratio under
 ``sweep_points_per_sec`` in the committed ``BENCH_pipeline.json``.
 ``--sweep --check`` gates instead of recording: the fresh
@@ -60,12 +56,11 @@ from benchmarks.perf import harness  # noqa: E402
 #: runner class proves systematically slower.
 CHECK_TOLERANCE = float(os.environ.get("BENCH_CHECK_TOLERANCE", "0.15"))
 
-#: per-config gate tolerance: every non-headline config (both the
-#: object path and the kernel path) is held to its committed speedup
-#: within this margin, so a kernel-engine gain can never mask an
-#: object-path regression on any config.  Wider than the headline's —
-#: the satellite configs run fewer instructions per measured second
-#: and sit closer to timer noise.
+#: per-config gate tolerance: every config is held to its committed
+#: speedup within this margin, so a headline gain can never mask a
+#: regression on another config.  Wider than the headline's — the
+#: satellite configs run fewer instructions per measured second and
+#: sit closer to timer noise.
 PER_CONFIG_TOLERANCE = float(
     os.environ.get("BENCH_CONFIG_TOLERANCE", "0.20"))
 
@@ -85,11 +80,8 @@ def check_regression(document: dict, reference: dict) -> int:
 
     The headline gate keeps its historical semantics and tolerance
     (:data:`CHECK_TOLERANCE`); additionally, every config measured in
-    both the fresh run and the committed reference is gated per engine
-    path (``speedup_vs_baseline`` for the object pipeline,
-    ``kernel_speedup_vs_baseline`` for the kernel) within
-    :data:`PER_CONFIG_TOLERANCE`.  Reference maps a past document does
-    not carry are skipped, so the gate tightens as references refresh.
+    both the fresh run and the committed reference is gated on its
+    ``speedup_vs_baseline`` within :data:`PER_CONFIG_TOLERANCE`.
     """
     failures = 0
     current = document.get("headline_speedup")
@@ -113,23 +105,21 @@ def check_regression(document: dict, reference: dict) -> int:
           f"committed {ref_speedup:.3f}x (floor {floor:.3f}x, "
           f"tolerance {CHECK_TOLERANCE:.0%}){regime}")
 
-    for map_name, label in (("speedup_vs_baseline", "object"),
-                            ("kernel_speedup_vs_baseline", "kernel")):
-        current_map = document.get(map_name) or {}
-        reference_map = reference.get(map_name) or {}
-        for name in sorted(reference_map):
-            ref_value = reference_map[name]
-            value = current_map.get(name)
-            if value is None or not ref_value:
-                continue  # config not measured this run
-            config_floor = ref_value * (1.0 - PER_CONFIG_TOLERANCE)
-            if value >= config_floor:
-                continue
-            failures += 1
-            print(f"perf check REGRESSION: {name} [{label}] speedup "
-                  f"{value:.3f}x vs committed {ref_value:.3f}x "
-                  f"(floor {config_floor:.3f}x, tolerance "
-                  f"{PER_CONFIG_TOLERANCE:.0%})")
+    current_map = document.get("speedup_vs_baseline") or {}
+    reference_map = reference.get("speedup_vs_baseline") or {}
+    for name in sorted(reference_map):
+        ref_value = reference_map[name]
+        value = current_map.get(name)
+        if value is None or not ref_value:
+            continue  # config not measured this run
+        config_floor = ref_value * (1.0 - PER_CONFIG_TOLERANCE)
+        if value >= config_floor:
+            continue
+        failures += 1
+        print(f"perf check REGRESSION: {name} speedup "
+              f"{value:.3f}x vs committed {ref_value:.3f}x "
+              f"(floor {config_floor:.3f}x, tolerance "
+              f"{PER_CONFIG_TOLERANCE:.0%})")
     if not failures:
         print("perf check OK: all per-config gates within tolerance")
     return 1 if failures else 0
@@ -183,7 +173,6 @@ def sweep_bench(args) -> int:
     jobs = args.jobs if args.jobs else default_jobs()
     spec = sweep_preset(SWEEP_PRESET, warmup=SWEEP_WARMUP,
                         measure=SWEEP_MEASURE)
-    spec.engine = "kernel"
 
     points, unbatched_s = _time_sweep(spec, jobs, 1, SWEEP_REPEATS)
     unbatched = points / unbatched_s
@@ -224,7 +213,6 @@ def sweep_bench(args) -> int:
     document["sweep_points_per_sec"] = {
         "preset": SWEEP_PRESET,
         "warmup": SWEEP_WARMUP, "measure": SWEEP_MEASURE,
-        "engine": "kernel",
         "points": points,
         "jobs": jobs,
         "cpus": os.cpu_count(),
@@ -299,13 +287,8 @@ def main(argv=None) -> int:
     else:
         output = args.output
         document = harness.attach_baseline(document)
-        # keep recorded notes and the --sweep throughput record
-        # through re-measurements
-        committed = load_reference(output)
-        notes = committed.get("notes")
-        if notes:
-            document["notes"] = notes
-        sweep_record = committed.get("sweep_points_per_sec")
+        # keep the --sweep throughput record through re-measurements
+        sweep_record = load_reference(output).get("sweep_points_per_sec")
         if sweep_record:
             document["sweep_points_per_sec"] = sweep_record
 
@@ -315,17 +298,13 @@ def main(argv=None) -> int:
 
     rows = document["configs"]
     width = max(len(name) for name in rows)
-    print(f"{'config':<{width}}  {'object i/s':>12}  {'kernel i/s':>12}  "
-          f"{'IPC':>7}  {'speedup':>8}  {'kernel x':>9}")
+    print(f"{'config':<{width}}  {'insts/s':>12}  {'IPC':>7}  "
+          f"{'speedup':>8}")
     for name, row in rows.items():
         speedup = document.get("speedup_vs_baseline", {}).get(name)
         suffix = f"{speedup:7.2f}x" if speedup else "      --"
-        kernel_ips = row.get("kernel", {}).get("insts_per_sec")
-        kernel_col = f"{kernel_ips:>12,.0f}" if kernel_ips else f"{'--':>12}"
-        engine_x = row.get("engine_speedup")
-        engine_col = f"{engine_x:8.2f}x" if engine_x else f"{'--':>9}"
         print(f"{name:<{width}}  {row['insts_per_sec']:>12,.0f}  "
-              f"{kernel_col}  {row['ipc']:>7.3f}  {suffix}  {engine_col}")
+              f"{row['ipc']:>7.3f}  {suffix}")
     print(f"\nwrote {output}")
     if args.check:
         return check_regression(document, reference)

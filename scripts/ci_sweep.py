@@ -77,7 +77,7 @@ from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
 def build_spec(args) -> SweepSpec:
     source = str(args.spec) if args.spec is not None else args.preset
     return resolve_sweep_spec(source, warmup=args.warmup,
-                              measure=args.measure, engine=args.engine)
+                              measure=args.measure)
 
 
 def add_spec_options(parser: argparse.ArgumentParser) -> None:
@@ -90,11 +90,6 @@ def add_spec_options(parser: argparse.ArgumentParser) -> None:
                         help="warmup instruction budget per point")
     parser.add_argument("--measure", type=int, default=None,
                         help="measured instruction budget per point")
-    parser.add_argument("--engine", choices=["object", "kernel"],
-                        default=None,
-                        help="simulation engine for every point "
-                             "(every subcommand of one CI leg must "
-                             "agree; the sweep_id changes with it)")
 
 
 def cmd_run(args) -> int:
@@ -225,8 +220,6 @@ def _sweep_argv(args, extra):
         argv += ["--warmup", str(args.warmup)]
     if args.measure is not None:
         argv += ["--measure", str(args.measure)]
-    if args.engine is not None:
-        argv += ["--engine", args.engine]
     return argv + extra
 
 

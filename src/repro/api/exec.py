@@ -294,9 +294,7 @@ def _batch_key(future: SimFuture) -> Tuple[Optional[int], str, int, bool]:
     Futures batch together when they share a coordinator shard, a
     workload, a total trace length (``warmup + measure``) and a cache
     policy — exactly the inputs one trace generation + one predecode
-    can serve.  The engine is deliberately *not* part of the key: the
-    predecode is done lazily, only when a batch member actually uses
-    the kernel engine.
+    can serve.
     """
     config = future.config
     return (future.shard, config.workload,

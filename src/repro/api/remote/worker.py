@@ -264,10 +264,13 @@ class WorkerServer:
             try:
                 payload = outcomes.get(timeout=self.heartbeat_interval)
             except queue_mod.Empty:
-                if not thread.is_alive():
+                if thread.is_alive():
+                    send_frame(conn, {"op": "heartbeat",
+                                      "id": request_id})
+                    continue
+                if outcomes.empty():
                     break  # defensive: sim thread died unreported
-                send_frame(conn, {"op": "heartbeat", "id": request_id})
-                continue
+                continue  # it finished between the timeout and the check
             self._send_point_done(conn, payload)
             completed += 1
         send_frame(conn, {"op": "done", "id": request_id, "ok": True,

@@ -142,8 +142,8 @@ class Session:
         self._trace_cache: "OrderedDict[str, Tuple[int, List[DynInst]]]" = \
             OrderedDict()
         #: workload name -> columnar predecode of that workload's cached
-        #: trace (kernel engine); keyed alongside ``_trace_cache`` and
-        #: bounded by the same cap, so arrays never outlive their trace
+        #: trace; keyed alongside ``_trace_cache`` and bounded by the
+        #: same cap, so arrays never outlive their trace
         self._arrays_cache: "OrderedDict[str, Any]" = OrderedDict()
         #: (workload, length, mem key, window) -> oracle annotation
         self._oracle_cache: \
@@ -159,18 +159,17 @@ class Session:
         """Directory of the disk result cache."""
         return self.results.directory
 
-    def clear_memory_caches(self, results: bool = True) -> None:
-        """Drop the in-process trace/oracle (and result) memoisation.
+    def clear_memory_caches(self) -> None:
+        """Drop the in-process trace, oracle and result memoisation.
 
         The caches are cleared in place (never rebound) so references
-        handed out earlier keep observing this session's state.  With
-        ``results=False`` the in-memory result cache is kept.
+        handed out earlier keep observing this session's state; the
+        disk result cache is untouched.
         """
         self._trace_cache.clear()
         self._arrays_cache.clear()
         self._oracle_cache.clear()
-        if results:
-            self.results._memory.clear()
+        self.results._memory.clear()
 
     def close(self) -> None:
         """Release in-memory state (the disk cache persists)."""
@@ -225,7 +224,7 @@ class Session:
                          factory: Optional[Callable[[str], Any]] = None):
         """Columnar predecode of the first *length* instructions.
 
-        The kernel engine's :class:`~repro.core.kernel.TraceArrays` for
+        The cycle loop's :class:`~repro.core.kernel.TraceArrays` for
         a workload, memoised next to the trace itself: the predecode
         covers the session's cached (longest) trace, is invalidated
         whenever that trace object changes, and shorter requests get a
@@ -298,8 +297,8 @@ class Session:
 
         Executors hand every point of a ``(workload, warmup+measure)``
         batch to the returned runner; the trace is generated, the
-        workload built, and (for kernel points) the columnar predecode
-        done once for the whole batch instead of once per point.
+        workload built and the columnar predecode done once for the
+        whole batch instead of once per point.
         """
         return BatchRunner(self, workload, length)
 
@@ -590,11 +589,10 @@ class Session:
         """Warm and run the timing pipeline over prepared inputs.
 
         The per-point half of :meth:`_execute`: *trace* and *workload*
-        (and, for the kernel engine, optionally the predecoded
-        *arrays*) are supplied by the caller so a
-        :class:`BatchRunner` can share them across every point of a
-        trace-identity batch while each point still warms and
-        simulates independently.
+        (and optionally the predecoded *arrays*) are supplied by the
+        caller so a :class:`BatchRunner` can share them across every
+        point of a trace-identity batch while each point still warms
+        and simulates independently.
         """
         total = config.warmup + config.measure
         oracle = (self.get_oracle(config.workload, total, config.core,
@@ -620,20 +618,12 @@ class Session:
                 oracle.long_latency[:config.warmup]
                 if oracle is not None else None)
 
-        if config.engine == "kernel":
-            from repro.core.kernel import KernelPipeline
-            if arrays is None:
-                arrays = self.get_trace_arrays(config.workload, total)
-            pipeline: Pipeline = KernelPipeline(
-                measured, params=config.core, ltp=config.ltp,
-                policy=policy, hierarchy=hierarchy,
-                branch_predictor=bpred,
-                arrays=arrays.window(config.warmup))
-        else:
-            pipeline = Pipeline(measured, params=config.core,
-                                ltp=config.ltp, policy=policy,
-                                hierarchy=hierarchy,
-                                branch_predictor=bpred)
+        if arrays is None:
+            arrays = self.get_trace_arrays(config.workload, total)
+        pipeline = Pipeline(measured, params=config.core, ltp=config.ltp,
+                            policy=policy, hierarchy=hierarchy,
+                            branch_predictor=bpred,
+                            arrays=arrays.window(config.warmup))
         stats = pipeline.run().as_dict()
         stats["workload"] = config.workload
         stats["category"] = workload.category
@@ -648,12 +638,9 @@ class BatchRunner:
     grouping rule behind the executor layer's
     :class:`~repro.api.exec.BatchWorkItem`.  The first :meth:`run`
     call that misses the result cache prepares the shared inputs —
-    one trace generation, one workload build, and (for kernel-engine
-    points) one columnar predecode — and every later call reuses
-    them.  This lifts the amortization
-    :func:`repro.core.kernel.simulate_batch` provides at the kernel
-    level up to the session, where result caching, provenance and
-    per-point isolation still apply.
+    one trace generation, one workload build and one columnar
+    predecode — and every later call reuses them, while result
+    caching, provenance and per-point isolation still apply.
 
     Each call is otherwise bit-identical to :meth:`Session.run`: the
     same cache lookup and fill, the same per-point warmup and
@@ -698,14 +685,11 @@ class BatchRunner:
             self._trace = session.get_trace(self.workload, self.length)
         if self._workload_obj is None:
             self._workload_obj = session._workload_factory(self.workload)
-        arrays = None
-        if config.engine == "kernel":
-            if self._arrays is None:
-                self._arrays = session.get_trace_arrays(self.workload,
-                                                        self.length)
-            arrays = self._arrays
+        if self._arrays is None:
+            self._arrays = session.get_trace_arrays(self.workload,
+                                                    self.length)
         stats = session._simulate(config, self._trace, self._workload_obj,
-                                  arrays=arrays)
+                                  arrays=self._arrays)
         elapsed = time.perf_counter() - start
         if use_cache:
             session.results.put(key, stats)

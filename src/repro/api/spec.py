@@ -38,8 +38,8 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import CoreParams
-from repro.harness.config import (DEFAULT_ENGINE, SimConfig, core_from_dict,
-                                  ltp_from_dict)
+from repro.harness.config import (SimConfig, check_engine_name,
+                                  core_from_dict, ltp_from_dict)
 from repro.ltp.config import LTPConfig
 from repro.policies.registry import DEFAULT_POLICY
 
@@ -47,8 +47,6 @@ from repro.policies.registry import DEFAULT_POLICY
 _BUDGET_AXES = ("warmup", "measure")
 #: axis path that addresses the allocation policy
 _POLICY_AXIS = "policy"
-#: axis path that addresses the simulation engine
-_ENGINE_AXIS = "engine"
 
 
 def _axis_fields(cls: type) -> frozenset:
@@ -59,8 +57,11 @@ _LTP_FIELDS = _axis_fields(LTPConfig)
 
 
 def _check_axis(path: str) -> None:
-    if path in _BUDGET_AXES or path in (_POLICY_AXIS, _ENGINE_AXIS):
+    if path in _BUDGET_AXES or path == _POLICY_AXIS:
         return
+    if path == "engine":
+        raise ValueError("the 'engine' sweep axis was removed: there is "
+                         "one cycle loop")
     prefix, _, name = path.partition(".")
     if prefix == "core" and name in _CORE_FIELDS:
         return
@@ -68,7 +69,7 @@ def _check_axis(path: str) -> None:
         return
     raise ValueError(
         f"unknown sweep axis {path!r}: use 'core.<field>', 'ltp.<field>', "
-        f"'policy', 'engine', 'warmup' or 'measure'")
+        f"'policy', 'warmup' or 'measure'")
 
 
 def shard_of(key: str, count: int) -> int:
@@ -111,9 +112,6 @@ class SweepSpec:
     #: base allocation policy; the ``"policy"`` axis overrides it per
     #: point (the default keeps pre-policy sweep ids stable)
     policy: str = DEFAULT_POLICY
-    #: base simulation engine; the ``"engine"`` axis overrides it per
-    #: point (the default keeps pre-engine sweep ids stable)
-    engine: str = DEFAULT_ENGINE
     #: dotted parameter path -> values; expansion is the cross product
     #: in insertion order, workloads outermost
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
@@ -146,15 +144,12 @@ class SweepSpec:
                 ltp_overrides: Dict[str, Any] = {}
                 budgets: Dict[str, Any] = {}
                 policy = self.policy
-                engine = self.engine
                 for path, value in zip(axis_paths, combo):
                     prefix, _, name = path.partition(".")
                     if path in _BUDGET_AXES:
                         budgets[path] = value
                     elif path == _POLICY_AXIS:
                         policy = str(value)
-                    elif path == _ENGINE_AXIS:
-                        engine = str(value)
                     elif prefix == "core":
                         core_overrides[name] = value
                     else:
@@ -165,7 +160,7 @@ class SweepSpec:
                           if core_overrides else self.core),
                     ltp=(self.ltp.but(**ltp_overrides)
                          if ltp_overrides else self.ltp),
-                    policy=policy, engine=engine)
+                    policy=policy)
                 if self.warmup is not None:
                     config.warmup = self.warmup
                 if self.measure is not None:
@@ -232,8 +227,6 @@ class SweepSpec:
             # sweep-id stability: default-policy specs serialize exactly
             # as pre-policy ones did
             payload["policy"] = self.policy
-        if self.engine != DEFAULT_ENGINE:
-            payload["engine"] = self.engine
         if self.executor is not None:
             payload["executor"] = self.executor
         return payload
@@ -251,7 +244,8 @@ class SweepSpec:
         warmup = payload.pop("warmup", None)
         measure = payload.pop("measure", None)
         policy = payload.pop("policy", DEFAULT_POLICY)
-        engine = payload.pop("engine", DEFAULT_ENGINE)
+        # a retired engine selector is checked and dropped
+        check_engine_name(payload.pop("engine", None))
         executor = payload.pop("executor", None)
         axes = payload.pop("axes", {}) or {}
         if payload:
@@ -264,7 +258,7 @@ class SweepSpec:
                  else LTPConfig()),
             warmup=None if warmup is None else int(warmup),
             measure=None if measure is None else int(measure),
-            policy=str(policy), engine=str(engine),
+            policy=str(policy),
             executor=None if executor is None else str(executor),
             axes={path: list(values) for path, values in axes.items()})
         return spec.validate()

@@ -74,7 +74,7 @@ from repro.api import (CoordinatorBackend, ResultStore, Session,
 from repro.api.executors import executor_from_options
 from repro.api.remote.protocol import format_address, parse_address
 from repro.core.params import baseline_params, ltp_params
-from repro.harness.config import DEFAULT_ENGINE, ENGINES, SimConfig
+from repro.harness.config import SimConfig
 from repro.harness.experiments import (resolve_sweep_spec,
                                        sweep_preset_descriptions,
                                        sweep_preset_names)
@@ -114,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_POLICY,
                        help="allocation policy (default: the LTP "
                             "controller path; see repro.policies)")
-    run_p.add_argument("--engine", choices=list(ENGINES),
-                       default=DEFAULT_ENGINE,
-                       help="simulation engine: the reference object "
-                            "pipeline or the bit-identical columnar "
-                            "kernel")
     run_p.add_argument("--model", type=Path, default=None,
                        metavar="ARTIFACT",
                        help="frozen model artifact for learned "
@@ -252,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="warmup instruction budget per point")
     sweep_p.add_argument("--measure", type=int, default=None,
                          help="measured instruction budget per point")
-    sweep_p.add_argument("--engine", choices=list(ENGINES), default=None,
-                         help="simulation engine for every point "
-                              "(default: the spec's; an 'engine' axis "
-                              "still wins per point)")
     sweep_p.add_argument("--progress", action="store_true",
                          help="live execution-progress line on stderr "
                               "(plain line-per-update when stderr is "
@@ -358,7 +349,7 @@ def cmd_run(args, out) -> int:
             return 2
     config = SimConfig(workload=args.workload, core=core,
                        ltp=ltp_preset(args.ltp), policy=args.policy,
-                       model=model, engine=args.engine)
+                       model=model)
     if args.warmup is not None:
         config.warmup = args.warmup
     if args.measure is not None:
@@ -695,7 +686,7 @@ def cmd_sweep(args, out) -> int:
               file=out)
         return 2
     spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
-                              measure=args.measure, engine=args.engine)
+                              measure=args.measure)
 
     store = None
     if args.store is not None:

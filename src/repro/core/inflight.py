@@ -31,7 +31,7 @@ class InFlightInst:
 
     __slots__ = (
         "dyn", "seq",
-        "is_load", "is_store", "has_dst", "fu_group", "nonpipelined",
+        "is_load", "is_store", "has_dst",
         "waiting_on", "consumers",
         "in_iq", "issued", "done",
         "completion_cycle",
@@ -55,8 +55,6 @@ class InFlightInst:
         self.is_load = dyn.is_load
         self.is_store = dyn.is_store
         self.has_dst = dyn.has_dst
-        self.fu_group = dyn.fu_group
-        self.nonpipelined = dyn.nonpipelined
         self.rf_class: Optional[str] = dyn.rf_class
         self.waiting_on = 0
         self.consumers = _NO_CONSUMERS  # list on first append (see pipeline)

@@ -10,7 +10,7 @@ an older store to an unknown address is predicted to conflict.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.params import cap
 
@@ -117,8 +117,3 @@ class LoadStoreQueues:
         if youngest_match is not None:
             return "forward", youngest_match
         return "clear", None
-
-    def unknown_older_stores(self, load_seq: int) -> List[StoreEntry]:
-        """All older stores whose addresses are still unknown."""
-        return [e for e in self._stores.values()
-                if e.seq < load_seq and e.addr is None]

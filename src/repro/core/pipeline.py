@@ -22,42 +22,60 @@ cycle:
 * 8-wide in-order commit, which frees registers (previous mapping) and
   LQ/SQ entries, and trains the UIT on long-latency loads.
 
+The whole model is one loop, :meth:`Pipeline._run_loop`, laid out as
+named stage blocks in the order a cycle runs them: writeback, commit,
+parked release, rename, issue, fetch, then the idle-skip decision and
+the occupancy integration.  That order and every statistics update are
+load-bearing.
+
 Idle spans (every unit waiting on a future event) are jumped over in one
 step; all time-integrated statistics account for the jump width, so
-results are identical to cycle-by-cycle execution, just faster.
+results are identical to cycle-by-cycle execution (``allow_skip=False``),
+just faster.  The one exception is ``stall_frontend``, which counts the
+cycles a blocked front end is looked at.
 
-Performance-sensitive invariants of the main loop (see README.md):
+Performance-sensitive invariants of the loop:
 
-* Per-instruction metadata (FU group, non-pipelined flag, load/store
-  flags, destination register class, code address) is **pre-decoded**
-  on :class:`DynInst` at trace build time and mirrored onto
-  :class:`InFlightInst` at rename; the hot loop performs no opcode
-  table lookups or property calls.  ``Pipeline(use_predecode=False)``
-  keeps the original per-use table-lookup path alive as a reference
-  implementation for differential tests.
-* Execution latencies are resolved to a per-``OpClass`` table once at
-  pipeline construction.
-* Occupancy statistics are integrated by direct writes to the bound
-  :class:`Occupancy` accumulators — no per-cycle dict building.
-* The trace is consumed by list index (no iterator protocol / ``next``
-  exception handling in the fetch path).
-* Stage order inside :meth:`_tick` (writeback, commit, parked release,
-  rename, issue, fetch) and every statistics update are load-bearing:
-  results must stay bit-identical to strict cycle-by-cycle execution.
-* The allocation policy is driven through pre-bound hook attributes
-  (``policy.observe_rename`` / ``policy.may_allocate`` / release and
-  completion hooks); for the default ``ltp`` policy these resolve to
-  the controller's own bound methods, so the seam adds no call
-  overhead and the ``ltp`` / ``baseline-stall`` policies stay
-  bit-identical to the pre-seam monolith.
+* **Columnar trace state.**  The configuration-independent
+  per-instruction metadata (PC, code address, branch flags, dense
+  op-class / FU-group ids, non-pipelined flag, source counts) is
+  predecoded once into parallel lists (:class:`repro.core.kernel.TraceArrays`)
+  and indexed by trace position.  One predecode serves any number of
+  configurations: the session caches it next to the trace.
+* **Integer event heap.**  Completion and tag events are packed into
+  single integers ``cycle * SHIFT + rel * 2 + kind`` (``rel`` the trace
+  index, ``SHIFT = 2 * len(trace)``), which orders them by cycle, then
+  age, then kind while popping plain ints.
+* **Index-window scheduling.**  The frontend FIFO is a pair of parallel
+  int lists (ready cycle, trace index), the rename scoreboard is a
+  preallocated list indexed by ``seq - seq0`` (producers outside the
+  window resolve to ``None``), and the ready "queue" of the IQ is a
+  heap of trace indices, so selection is oldest-first.
+* **One frame.**  Every stage, the occupancy integration and every
+  statistics counter live in locals of :meth:`Pipeline._run_loop`;
+  the shared collaborators (hierarchy, branch predictor, LSQ, register
+  file, memory-dependence predictor and the whole policy seam) are
+  driven through pre-bound methods, and the counters the loop alone
+  mutates are flushed back into them on exit.
+* **Policy calls.**  Every policy hook that can observe or mutate state
+  is invoked in a fixed order, including one fresh
+  :class:`InFlightInst` per rename *attempt*, which the ticket
+  tracker's pool accounting depends on.  The only calls skipped are
+  ones statically known to be no-ops for the constructed policy (e.g.
+  ``may_allocate`` on a disabled LTP controller, which returns
+  ``"dispatch"`` unconditionally without side effects).
+
+``tests/golden/engine_corpus.jsonl`` freezes the full statistics of
+randomized programs under every policy, randomized session configs and
+a real-workload grid; the tests hold the loop to it in both skip modes.
 """
 
 from __future__ import annotations
 
 import gc as _gc
-import heapq
 from bisect import insort
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core.branch import GsharePredictor
 from repro.core.inflight import InFlightInst
@@ -68,29 +86,20 @@ from repro.core.params import CoreParams
 from repro.core.regfile import RegisterFile
 from repro.core.rob import ROB
 from repro.core.stats import SimStats
-from repro.isa.instructions import FU_GROUP, NONPIPELINED_CLASSES, OpClass
-from repro.isa.trace import CODE_BASE, INST_BYTES, DynInst
+from repro.isa.instructions import OpClass
+from repro.isa.trace import CODE_BASE, FU_GROUPS, INST_BYTES, DynInst
 from repro.ltp.config import LTPConfig
 from repro.ltp.controller import NO_BOUNDARY
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import AllocationPolicy, LTPPolicy, build_policy
 
+if TYPE_CHECKING:
+    from repro.core.kernel import TraceArrays
+
 __all__ = ["CODE_BASE", "INST_BYTES", "Pipeline", "SimulationDeadlock",
            "simulate"]
 
-_EV_COMPLETE = 0
-_EV_TAG = 1
-
-#: legacy aliases — the authoritative tables live in
-#: :mod:`repro.isa.instructions`; the reference (non-pre-decoded) issue
-#: path and older callers consult them per use.
-_FU_GROUP = FU_GROUP
-_NONPIPELINED = tuple(sorted(NONPIPELINED_CLASSES, key=lambda c: c.value))
-
 _WORD_MASK = ~7
-
-_heappush = heapq.heappush
-_heappop = heapq.heappop
 
 
 class SimulationDeadlock(RuntimeError):
@@ -98,7 +107,14 @@ class SimulationDeadlock(RuntimeError):
 
 
 class Pipeline:
-    """One simulated core running one dynamic trace."""
+    """One simulated core running one dynamic trace.
+
+    The collaborators (memory hierarchy, branch predictor, allocation
+    policy) may be passed in pre-warmed; ``arrays=`` takes a prebuilt
+    :func:`~repro.core.kernel.predecode` of *trace* so callers that run
+    many configurations over one trace predecode it once.
+    ``allow_skip=False`` forces strict cycle-by-cycle execution.
+    """
 
     def __init__(self, trace: Sequence[DynInst],
                  params: Optional[CoreParams] = None,
@@ -107,8 +123,15 @@ class Pipeline:
                  branch_predictor: Optional[GsharePredictor] = None,
                  warm_code: bool = True,
                  allow_skip: bool = True,
-                 use_predecode: bool = True,
-                 policy: Union[AllocationPolicy, str, None] = None) -> None:
+                 policy: Union[AllocationPolicy, str, None] = None,
+                 arrays: Optional["TraceArrays"] = None) -> None:
+        if arrays is None:
+            from repro.core.kernel import predecode
+            arrays = predecode(trace)
+        elif arrays.n != len(trace) or (
+                arrays.n and arrays.seq0 != trace[0].seq):
+            raise ValueError("arrays= does not match the trace window")
+        self.arrays = arrays
         self.params = (params or CoreParams()).validate()
         self.ltp_config = (ltp or LTPConfig(enabled=False)).validate()
         self.hierarchy = hierarchy or MemoryHierarchy(self.params.mem)
@@ -124,12 +147,7 @@ class Pipeline:
         #: (None for non-LTP policies)
         self.controller = getattr(policy, "controller", None)
         self.stats = SimStats()
-        #: False forces strict cycle-by-cycle execution (used by tests to
-        #: verify that idle-span jumping never changes results)
         self.allow_skip = allow_skip
-        #: False routes issue/execute through the reference per-use
-        #: table-lookup path (differential testing of the fast path)
-        self.use_predecode = use_predecode
 
         reserve = policy.release_reserve
         self.rob = ROB(self.params.rob_size)
@@ -139,865 +157,1024 @@ class Pipeline:
         self.lsq = LoadStoreQueues(self.params.lq_size, self.params.sq_size,
                                    reserve=reserve)
         self.memdep = MemDepPredictor()
+        self.cycle = 0
+        #: after :meth:`run`, the record each trace position renamed with
+        self.records: List[Optional[InFlightInst]] = []
 
-        if warm_code and len(trace):
+        if warm_code and arrays.n:
             # kernels are tiny; pre-warm the instruction path so short
             # traces are not dominated by a one-off cold L1I DRAM fill
-            max_pc = max(dyn.pc for dyn in trace)
+            hier = self.hierarchy
             for block in range(CODE_BASE >> 6,
-                               ((CODE_BASE + max_pc * INST_BYTES) >> 6) + 1):
-                self.hierarchy.l1i.insert(block)
-                self.hierarchy.l2.insert(block)
-                self.hierarchy.l3.insert(block)
+                               ((CODE_BASE + arrays.max_pc * INST_BYTES)
+                                >> 6) + 1):
+                hier.l1i.insert(block)
+                hier.l2.insert(block)
+                hier.l3.insert(block)
 
-        self._trace_seq: Sequence[DynInst] = trace
-        self._trace_idx = 0
-        self._trace_len = len(trace)
-
-        self.cycle = 0
-        self._events: List[tuple] = []          # (cycle, seq, kind, record)
-        self._frontend: List[Tuple[int, DynInst]] = []  # FIFO via index
-        self._frontend_head = 0
-        self._frontend_cap = self.params.fetch_width * (
-            self.params.frontend_depth + 2)
-        self._fetch_stall_until = 0
-        self._fetch_blocked_on: Optional[int] = None  # seq of branch
-        self._commit_stall_until = 0
-        self._scoreboard: Dict[int, InFlightInst] = {}
-        self._ll_seqs: List[int] = []           # sorted in-flight LL seqs
-        self._open_loads: Dict[int, List[InFlightInst]] = {}
-        self._parked_store_pcs: Dict[int, int] = {}
-        self._fu_busy_until: Dict[str, int] = {}
-        self._fu_used: Dict[str, int] = {}      # scratch, reset per issue
-        self._last_commit_cycle = 0
-
-        # hot-path constants, resolved once
-        latencies = self.params.latencies
-        default_latency = latencies["int_alu"]
-        self._lat_by_class: Dict[OpClass, int] = {
-            op: latencies.get(op.value, default_latency) for op in OpClass}
-        self._lat_agu = latencies["agu"]
-        self._lat_store = latencies["store"]
-        self._lat_forward = latencies["forward"]
-        occ = self.stats.occupancies
-        self._occ_rob = occ["rob"]
-        self._occ_iq = occ["iq"]
-        self._occ_lq = occ["lq"]
-        self._occ_sq = occ["sq"]
-        self._occ_rf_int = occ["rf_int"]
-        self._occ_rf_fp = occ["rf_fp"]
-        self._occ_ltp = occ["ltp"]
-        self._occ_ltp_regs = occ["ltp_regs"]
-        self._occ_ltp_loads = occ["ltp_loads"]
-        self._occ_ltp_stores = occ["ltp_stores"]
-        # direct bindings into collaborators whose identity is fixed for
-        # the pipeline's lifetime (the objects mutate in place); reserves
-        # are likewise fixed after construction.
-        self._rob_entries = self.rob._entries
-        self._rf_free = self.regfile._free
-        self._rf_need = 1 + self.regfile.reserve
-        self._lsq_need = 1 + self.lsq.reserve
-        self._monitor = policy.monitor
-        self._monitor_off = self._monitor.mode == "off"
-        self._monitor_auto = (self.ltp_config.enabled
-                              and self._monitor.mode == "auto")
-        self._ltp_entries = policy.queue._entries
-        self._release_ports = policy.ports
-        # the park-path flags are immutable per run; snapshot them so
-        # the parked-allocation path performs no property calls
-        self._park_loads = policy.park_loads
-        self._park_stores = policy.park_stores
-        self._defer_registers = policy.defer_registers
-        self._rf_cap_int = self.regfile._capacity["int"]
-        self._rf_cap_fp = self.regfile._capacity["fp"]
-
-        if not use_predecode:
-            self._issue = self._issue_reference      # type: ignore
-            self._execute = self._execute_reference  # type: ignore
-
-    # ==================================================================
-    # public API
-    # ==================================================================
     def run(self) -> SimStats:
-        """Run the trace to completion and return the statistics.
+        """Simulate to completion with the cyclic collector suspended.
 
-        The cyclic collector is suspended for the duration: the model
-        allocates one record per rename attempt and links records into
-        producer/consumer reference cycles, so mid-run generational
-        scans cost wall time without reclaiming anything (records stay
-        reachable until the window drains).  Collection resumes — and
-        the cycles are reclaimed — on return.
+        The loop allocates one :class:`InFlightInst` per rename attempt
+        and links records into producer/consumer cycles; letting
+        generational GC scan those mid-run costs >10% wall time for zero
+        reclamation (records stay reachable until the window drains).
+        Collection resumes — and the cycles are reclaimed — on return.
         """
-        tick = self._tick
-        finished = self._finished
         gc_enabled = _gc.isenabled()
         if gc_enabled:
             _gc.disable()
         try:
-            while not finished():
-                tick()
+            return self._run_loop()
         finally:
             if gc_enabled:
                 _gc.enable()
-        self.stats.cycles = self.cycle
-        self._export_activity()
-        return self.stats
 
-    # ==================================================================
-    # trace / frontend plumbing
-    # ==================================================================
-    def _frontend_len(self) -> int:
-        return len(self._frontend) - self._frontend_head
-
-    def _frontend_peek(self) -> Optional[Tuple[int, DynInst]]:
-        if self._frontend_head < len(self._frontend):
-            return self._frontend[self._frontend_head]
-        return None
-
-    def _finished(self) -> bool:
-        return (self._trace_idx >= self._trace_len
-                and self._frontend_head >= len(self._frontend)
-                and self.rob.empty)
-
-    # ==================================================================
-    # main loop
-    # ==================================================================
-    def _tick(self) -> None:
-        now = self.cycle
-        self.hierarchy.advance(now)
-
-        events = self._events
-        progress = self._writeback(now) if (events and events[0][0] <= now) \
-            else False
-        progress |= self._commit(now)
-        if self._ltp_entries:
-            released, release_pending = self._ltp_release(now)
-            progress |= released > 0
-        else:
-            release_pending = False
-        progress |= self._rename(now)
-        progress |= self._issue(now)
-        progress |= self._fetch(now)
-
-        imminent = (progress
-                    or release_pending
-                    or self.iq.has_ready()
-                    or (events and events[0][0] <= now + 1))
-        if not imminent:
-            frontend = self._frontend
-            head_idx = self._frontend_head
-            if (head_idx < len(frontend)
-                    and frontend[head_idx][0] <= now + 1):
-                imminent = True
-
-        if imminent or not self.allow_skip:
-            step = 1
-            if not imminent and self._next_event_cycle(now) is None:
-                if not self._finished():
-                    self._raise_deadlock(now)
-                return
-        else:
-            target = self._next_event_cycle(now)
-            if target is None:
-                if self._finished():
-                    return
-                self._raise_deadlock(now)
-            step = max(1, target - now)
-
-        self._accumulate(now, step)
-        self.cycle = now + step
-
-        if self.cycle - self._last_commit_cycle > self.params.deadlock_cycles:
-            self._raise_deadlock(now)
-
-    def _next_event_cycle(self, now: int) -> Optional[int]:
-        candidates: List[int] = []
-        if self._events:
-            candidates.append(self._events[0][0])
-        head = self._frontend_peek()
-        if head is not None:
-            candidates.append(head[0])
-        if self._fetch_stall_until > now and self._fetch_blocked_on is None:
-            candidates.append(self._fetch_stall_until)
-        if self._commit_stall_until > now:
-            candidates.append(self._commit_stall_until)
-        if self._monitor_auto and self._monitor.expiry > now:
-            candidates.append(self._monitor.expiry)
-        if self._ltp_entries:
-            hint = self.policy.next_event_cycle(now)
-            if hint is not None and hint > now:
-                candidates.append(hint)
-        if not candidates:
-            return None
-        return max(now + 1, min(candidates))
-
-    def _raise_deadlock(self, now: int) -> None:
+    def _deadlock(self, now: int, iq_len: int, frontend_len: int) -> None:
         head = self.rob.head()
         raise SimulationDeadlock(
             f"no progress at cycle {now}: rob={len(self.rob)} "
-            f"iq={len(self.iq)} policy={self.policy.name!r} "
+            f"iq={iq_len} policy={self.policy.name!r} "
             f"parked={len(self.policy.queue)} "
-            f"frontend={self._frontend_len()} head={head!r} "
+            f"frontend={frontend_len} head={head!r} "
             f"free_int={self.regfile.free('int')} "
             f"free_fp={self.regfile.free('fp')} "
             f"lq={self.lsq.lq_used} sq={self.lsq.sq_used}"
         )
 
-    def _accumulate(self, now: int, step: int) -> None:
-        queue = self.policy.queue
-        lsq = self.lsq
-        occ = self._occ_rob
-        level = len(self._rob_entries)
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_iq
-        level = self.iq.occupancy
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_lq
-        level = lsq.lq_used
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_sq
-        level = lsq.sq_used
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        rf_free = self._rf_free
-        occ = self._occ_rf_int
-        level = self._rf_cap_int - rf_free["int"]
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_rf_fp
-        level = self._rf_cap_fp - rf_free["fp"]
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_ltp
-        level = len(queue._entries)
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_ltp_regs
-        level = queue.parked_with_dst
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_ltp_loads
-        level = queue.parked_loads
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        occ = self._occ_ltp_stores
-        level = queue.parked_stores
-        occ.integral += level * step
-        if level > occ.peak:
-            occ.peak = level
-        if not self._monitor_off:
-            self.stats.ltp_enabled_cycles += self._monitor.enabled_span(
-                now, now + step)
-
-    # ==================================================================
-    # fetch
-    # ==================================================================
-    def _fetch(self, now: int) -> bool:
-        if self._fetch_blocked_on is not None:
-            self.stats.stall_frontend += 1
-            return False
-        if now < self._fetch_stall_until:
-            return False
-        trace = self._trace_seq
-        idx = self._trace_idx
-        length = self._trace_len
-        if idx >= length:
-            return False
-        frontend = self._frontend
-        if (len(frontend) - self._frontend_head
-                + self.params.fetch_width > self._frontend_cap):
-            return False
-
-        first = trace[idx]
-        icache = self.hierarchy.access_inst(first.code_addr, now)
-        if icache.complete_cycle > now + 1:
-            self._fetch_stall_until = icache.complete_cycle
-            return False
-
-        stats = self.stats
-        bpred_update = self.bpred.predict_and_update
-        fetched = 0
-        width = self.params.fetch_width
-        ready = now + self.params.frontend_depth
-        while fetched < width and idx < length:
-            dyn = trace[idx]
-            idx += 1
-            frontend.append((ready, dyn))
-            fetched += 1
-            stats.fetched += 1
-            if dyn.is_branch:
-                correct = bpred_update(dyn.pc, dyn.taken)
-                if not correct:
-                    stats.branch_mispredicts += 1
-                    self._fetch_blocked_on = dyn.seq
-                    break
-            elif dyn.taken:
-                break  # taken jump/branch ends the fetch group
-        self._trace_idx = idx
-        return fetched > 0
-
-    # ==================================================================
-    # rename / dispatch / park
-    # ==================================================================
-    def _rename(self, now: int) -> bool:
-        frontend = self._frontend
-        frontend_len = len(frontend)
-        if self._frontend_head >= frontend_len:
-            return False
-        renamed = 0
-        width = self.params.rename_width
-        stats = self.stats
-        rob = self.rob
-        rob_entries = self._rob_entries
-        rob_capacity = rob.capacity
+    def _run_loop(self) -> SimStats:  # noqa: C901 - one hot frame
+        arrays = self.arrays
+        n = arrays.n
+        params = self.params
         policy = self.policy
-        scoreboard = self._scoreboard
-        scoreboard_get = scoreboard.get
-        parked_store_pcs = self._parked_store_pcs
-        while renamed < width:
-            head_idx = self._frontend_head
-            if head_idx >= frontend_len:
-                break
-            head = frontend[head_idx]
-            if head[0] > now:
-                break
-            if len(rob_entries) >= rob_capacity:
-                if renamed == 0:
-                    stats.stall_rob += 1
-                break
-            dyn = head[1]
-            record = InFlightInst(dyn)
-            src_producers = dyn.src_producers
-            n_producers = len(src_producers)
-            if n_producers == 1:
-                p0 = src_producers[0]
-                record.producer_records = (
-                    scoreboard_get(p0) if p0 >= 0 else None,)
-            elif n_producers == 2:
-                p0, p1 = src_producers
-                record.producer_records = (
-                    scoreboard_get(p0) if p0 >= 0 else None,
-                    scoreboard_get(p1) if p1 >= 0 else None)
-            elif n_producers:
-                record.producer_records = tuple(
-                    scoreboard_get(p) if p >= 0 else None
-                    for p in src_producers)
+        stats = self.stats
+        hierarchy = self.hierarchy
+        lsq = self.lsq
+        allow_skip = self.allow_skip
 
-            policy.observe_rename(record)
-            if record.urgent:
-                stats.classified_urgent += 1
-            else:
-                stats.classified_non_urgent += 1
-            if record.non_ready:
-                stats.classified_non_ready += 1
+        # ---- columnar trace state -----------------------------------
+        dyns = arrays.dyns
+        seq0 = arrays.seq0
+        col_pc = arrays.pc
+        col_code_addr = arrays.code_addr
+        col_is_branch = arrays.is_branch
+        col_taken = arrays.taken
+        col_cid = arrays.cid
+        col_gid = arrays.gid
+        col_nonpipelined = arrays.nonpipelined
+        col_n_srcs = arrays.n_srcs
 
-            memdep_forced = False
-            if record.is_load and parked_store_pcs:
-                for store_pc in self.memdep.predicted_stores(dyn.pc):
-                    if parked_store_pcs.get(store_pc):
-                        memdep_forced = True
+        # ---- per-run tables indexed by dense ids --------------------
+        latencies = params.latencies
+        default_latency = latencies["int_alu"]
+        lat_table = [latencies.get(op.value, default_latency)
+                     for op in OpClass]
+        lat_agu = latencies["agu"]
+        lat_store = latencies["store"]
+        lat_forward = latencies["forward"]
+        n_groups = len(FU_GROUPS)
+        fu_counts = [params.fu_counts.get(group, 1) for group in FU_GROUPS]
+        fu_busy = [0] * n_groups
+        fu_used = [0] * n_groups
+        fu_zero = (0,) * n_groups
+
+        # ---- machine parameters -------------------------------------
+        fetch_width = params.fetch_width
+        rename_width = params.rename_width
+        issue_width = params.issue_width
+        writeback_width = params.writeback_width
+        commit_width = params.commit_width
+        frontend_depth = params.frontend_depth
+        frontend_cap = fetch_width * (frontend_depth + 2)
+        mispredict_penalty = params.mispredict_penalty
+        violation_penalty = params.violation_penalty
+        deadlock_cycles = params.deadlock_cycles
+        dram_wakeup_lead = params.mem.dram_wakeup_lead
+
+        # ---- flat machine state (all locals) ------------------------
+        SHIFT = 2 * n if n else 2
+        events: List[int] = []          # cycle*SHIFT + rel*2 + kind
+        records: List[Optional[InFlightInst]] = [None] * n
+        ready_heap: List[int] = []      # rel indices; oldest == smallest
+        fe_ready: List[int] = []        # frontend FIFO: ready cycle
+        fe_idx: List[int] = []          # frontend FIFO: trace index
+        fe_head = 0
+        fe_len = 0                      # == len(fe_ready), kept in step
+        trace_idx = 0
+        now = 0
+        fetch_stall_until = 0
+        fetch_blocked_on: Optional[int] = None
+        commit_stall_until = 0
+        last_commit_cycle = 0
+        ll_seqs: List[int] = []
+        open_loads: Dict[int, List[InFlightInst]] = {}
+        parked_store_pcs: Dict[int, int] = {}
+        picked: List[int] = []
+        deferred: List[int] = []
+
+        # ---- shared structures, pre-bound ---------------------------
+        # occupancy counters the loop alone mutates are mirrored into
+        # plain locals (rob_len, lq_used, rfi_free/rff_free) and flushed
+        # back into the shared structures on exit / before deadlock
+        rob_entries = self.rob._entries
+        rob_capacity = self.rob.capacity
+        rob_pop = rob_entries.popleft
+        rob_append = rob_entries.append
+        rob_len = len(rob_entries)
+        iq_capacity = self.iq.capacity
+        iq_occ = 0
+        rf_free = self.regfile._free
+        rfi_free = rf_free["int"]
+        rff_free = rf_free["fp"]
+        rf_need = 1 + self.regfile.reserve
+        lsq_need = 1 + lsq.reserve
+        lq_capacity = lsq.lq_capacity
+        sq_capacity = lsq.sq_capacity
+        lq_used = lsq.lq_used
+        stores_dict = lsq._stores
+        rf_cap_int = self.regfile._capacity["int"]
+        rf_cap_fp = self.regfile._capacity["fp"]
+
+        advance = hierarchy.advance
+        hier_events = hierarchy._outstanding_events
+        mshr_expiry = hierarchy.mshrs._expiry
+        access_inst = hierarchy.access_inst
+        access_data = hierarchy.access_data
+        commit_store = hierarchy.commit_store
+        bpred_update = self.bpred.predict_and_update
+        older_store_state = lsq.older_store_state
+        allocate_store = lsq.allocate_store
+        release_store = lsq.release_store
+        predicted_stores = self.memdep.predicted_stores
+        must_wait = self.memdep.must_wait
+        train_violation = self.memdep.train_violation
+
+        # ---- policy seam (pre-bound attributes) ---------------------
+        observe_rename = policy.observe_rename
+        may_allocate = policy.may_allocate
+        policy_park = policy.park
+        on_release_scan = policy.on_release_scan
+        policy_release = policy.release
+        policy_tag = policy.on_tag_known
+        policy_next_event = policy.next_event_cycle
+        policy_violation = policy.on_violation
+        policy_dram = policy.on_dram_demand_access
+        queue = policy.queue
+        ltp_entries = queue._entries
+        release_ports = policy.ports
+        park_loads = policy.park_loads
+        park_stores = policy.park_stores
+        defer_registers = policy.defer_registers
+        monitor = policy.monitor
+        monitor_off = monitor.mode == "off"
+        monitor_auto = self.ltp_config.enabled and monitor.mode == "auto"
+
+        # hooks statically known to be no-ops are skipped; the gates
+        # replicate the hook bodies' own guards, so the sequence of
+        # *effective* calls is unchanged (see "Policy calls" above)
+        is_ltp = isinstance(policy, LTPPolicy)
+        skip_may_allocate = (is_ltp
+                             and not policy.controller.config.enabled)
+        # a disabled LTP controller's rename/decide path never reads
+        # producer_records (no ticket inheritance, no parked-bit scan),
+        # so failed rename attempts need not build the producer tuple —
+        # it is deferred to dependence registration on success
+        defer_producers = skip_may_allocate
+        # same reasoning one step further: a failed attempt's record is
+        # discarded unread, so with a disabled controller the capacity
+        # checks (side-effect free) run first and a stalling attempt
+        # replays only its observable work via the controller probe
+        observe_probe = (policy.controller.observe_attempt
+                         if skip_may_allocate else None)
+        policy_commit = policy.on_commit
+        if is_ltp:
+            # LTPController.on_commit acts only on long-latency loads
+            commit_always = False
+            commit_ll_only = True
+        elif (type(policy).on_commit is AllocationPolicy.on_commit
+                and "on_commit" not in policy.__dict__):
+            commit_always = commit_ll_only = False
+        else:
+            commit_always = True
+            commit_ll_only = False
+        if is_ltp:
+            # LTPController.on_load_complete acts only with a predictor
+            load_hook = (policy.on_load_complete
+                         if policy.controller.predictor is not None
+                         else None)
+        elif (type(policy).on_load_complete
+                is AllocationPolicy.on_load_complete
+                and "on_load_complete" not in policy.__dict__):
+            load_hook = None
+        else:
+            load_hook = policy.on_load_complete
+
+        # ---- local statistics counters ------------------------------
+        s_fetched = s_renamed = s_issued = s_committed = 0
+        s_committed_loads = s_committed_stores = s_committed_branches = 0
+        s_mispredicts = s_violations = 0
+        s_ltp_parked = s_ltp_released = s_ltp_forced = 0
+        s_enabled_cycles = 0
+        s_urgent = s_non_urgent = s_non_ready = 0
+        s_ll_loads = 0
+        s_stall_rob = s_stall_iq = s_stall_regs = s_stall_lsq = 0
+        s_stall_ltp_full = s_stall_frontend = 0
+        s_iq_writes = s_rf_reads = s_rf_writes = 0
+        s_ltp_writes = s_ltp_reads = 0
+        o_rob_i = o_rob_p = o_iq_i = o_iq_p = 0
+        o_lq_i = o_lq_p = o_sq_i = o_sq_p = 0
+        o_rfi_i = o_rfi_p = o_rff_i = o_rff_p = 0
+        o_ltp_i = o_ltp_p = o_lregs_i = o_lregs_p = 0
+        o_lloads_i = o_lloads_p = o_lstores_i = o_lstores_p = 0
+
+        # =============================================================
+        # the cycle loop: one iteration per simulated cycle (or idle
+        # span), running the stage blocks below in this fixed order
+        # =============================================================
+        while trace_idx < n or fe_head < fe_len or rob_len:
+            # ---- memory clock ---------------------------------------
+            # hierarchy.advance with its empty fast path inlined: with no
+            # outstanding past-L2 completions (the heap sizes track the
+            # counters exactly) and no MSHR expiries, advancing reduces
+            # to moving the integration clock forward by zero area
+            if hier_events or mshr_expiry:
+                advance(now)
+            elif now > hierarchy._last_advance_cycle:
+                hierarchy._last_advance_cycle = now
+            now_limit = (now + 1) * SHIFT
+
+            # ==== WRITEBACK ==========================================
+            # Pop the events due this cycle in (cycle, age, kind) order.
+            # A tag-known event tells the policy a load's latency class
+            # is known (tickets clear early).  A completion, at most
+            # writeback_width per cycle, marks the record done, counts
+            # its register write, wakes consumers whose last operand
+            # this was (onto the ready heap if they sit in the IQ),
+            # retires it from the long-latency list, clears any ticket
+            # it still owns, reports loads to the policy and, for the
+            # mispredicted branch fetch is blocked on, restarts fetch
+            # after the refill penalty.
+            progress = False
+            if events and events[0] < now_limit:
+                completed = 0
+                while events and events[0] < now_limit:
+                    ev = events[0]
+                    rem = ev % SHIFT
+                    if not (rem & 1) and completed >= writeback_width:
+                        break
+                    _heappop(events)
+                    record = records[rem >> 1]
+                    if rem & 1:  # tag-known event
+                        policy_tag(record)
+                        progress = True
+                        continue
+                    completed += 1
+                    progress = True
+                    record.done = True
+                    if record.has_dst:
+                        s_rf_writes += 1
+                    for consumer in record.consumers:
+                        waiting = consumer.waiting_on - 1
+                        consumer.waiting_on = waiting
+                        if waiting == 0 and consumer.in_iq:
+                            _heappush(ready_heap, consumer.seq - seq0)
+                    if record.ll_listed:
+                        record.ll_listed = False
+                        del ll_seqs[ll_seqs.index(record.seq)]
+                    if record.own_ticket is not None:
+                        policy_tag(record)
+                    if record.is_load and load_hook is not None:
+                        load_hook(record, record.actual_ll)
+                    if record.seq == fetch_blocked_on:
+                        fetch_blocked_on = None
+                        fetch_stall_until = now + mispredict_penalty
+
+            # ==== COMMIT =============================================
+            # Retire up to commit_width done records from the ROB head,
+            # in order, unless a memory-order violation stalls commit.
+            # Retiring frees the previous physical mapping of the
+            # destination, the LQ entry (and the load's open-load
+            # tracking) or the SQ entry (the store writes the cache),
+            # and hands long-latency loads to the policy (UIT training).
+            if now >= commit_stall_until and rob_len:
+                head = rob_entries[0]
+                if head.done:
+                    committed = 0
+                    while committed < commit_width:
+                        rob_pop()
+                        rob_len -= 1
+                        dyn = head.dyn
+                        if head.has_dst:
+                            if head.rf_class == "int":
+                                rfi_free += 1
+                            else:
+                                rff_free += 1
+                        if head.is_load:
+                            lq_used -= 1
+                            word = dyn.addr & _WORD_MASK
+                            entries = open_loads.get(word)
+                            if entries:
+                                try:
+                                    entries.remove(head)
+                                except ValueError:
+                                    pass
+                                if not entries:
+                                    del open_loads[word]
+                            s_committed_loads += 1
+                        elif head.is_store:
+                            commit_store(dyn.addr)
+                            release_store(dyn.seq)
+                            s_committed_stores += 1
+                        elif dyn.is_branch:
+                            s_committed_branches += 1
+                        if commit_always:
+                            policy_commit(head)
+                        elif (commit_ll_only and head.actual_ll
+                                and head.is_load):
+                            policy_commit(head)
+                        committed += 1
+                        s_committed += 1
+                        if not rob_len:
+                            break
+                        head = rob_entries[0]
+                        if not head.done:
+                            break
+                    last_commit_cycle = now
+                    progress = True
+
+            # ==== PARKED RELEASE =====================================
+            # Up to `ports` parked records leave the LTP per cycle, in
+            # the order the policy's release scan picks: those older
+            # than the second-oldest in-flight long-latency load (the
+            # boundary), plus the ROB head if it is parked (a forced
+            # release, so commit never waits on parking).  A release
+            # claims the IQ slot and whatever the park deferred
+            # (register, LQ/SQ entry) without honouring the reserve;
+            # the first record that does not fit ends the scan.
+            release_pending = False
+            if ltp_entries:
+                boundary = (ll_seqs[1] if len(ll_seqs) >= 2
+                            else NO_BOUNDARY)
+                if rob_len:
+                    head_rec = rob_entries[0]
+                    force_seq = head_rec.seq if head_rec.parked else -1
+                else:
+                    force_seq = -1
+                released = 0
+                while released < release_ports:
+                    candidates = on_release_scan(now, boundary,
+                                                 force_seq, 1)
+                    if not candidates:
+                        break
+                    record = candidates[0]
+                    if iq_occ >= iq_capacity:
+                        break
+                    rf_class = record.rf_class
+                    if (rf_class is not None and not record.rf_allocated
+                            and (rfi_free if rf_class == "int"
+                                 else rff_free) < 1):
+                        break
+                    if (record.is_load and not record.lq_allocated
+                            and lq_used >= lq_capacity):
+                        break
+                    if (record.is_store and not record.sq_allocated
+                            and len(stores_dict) >= sq_capacity):
+                        break
+                    policy_release(record)
+                    if rf_class is not None and not record.rf_allocated:
+                        if rf_class == "int":
+                            rfi_free -= 1
+                        else:
+                            rff_free -= 1
+                        record.rf_allocated = True
+                    if record.is_load and not record.lq_allocated:
+                        lq_used += 1
+                        record.lq_allocated = True
+                    dyn = record.dyn
+                    if record.is_store:
+                        if not record.sq_allocated:
+                            allocate_store(dyn.seq, dyn.pc)
+                            record.sq_allocated = True
+                        count = parked_store_pcs.get(dyn.pc, 0)
+                        if count <= 1:
+                            parked_store_pcs.pop(dyn.pc, None)
+                        else:
+                            parked_store_pcs[dyn.pc] = count - 1
+                    record.release_cycle = now
+                    iq_occ += 1
+                    record.in_iq = True
+                    if record.waiting_on == 0:
+                        _heappush(ready_heap, record.seq - seq0)
+                    s_ltp_released += 1
+                    s_ltp_reads += 1
+                    s_iq_writes += 1
+                    released += 1
+                    if record.forced_release:
+                        s_ltp_forced += 1
+                if released >= release_ports:
+                    release_pending = bool(on_release_scan(
+                        now, boundary, force_seq, 1))
+                if released:
+                    progress = True
+
+            # ==== RENAME =============================================
+            # Up to rename_width frontend entries whose decode delay has
+            # passed, in order; the first that cannot proceed stalls
+            # the rest (the stall reason counts once, on the group's
+            # first slot).  Each attempt builds a fresh record, links
+            # it to its producers' records, and lets the policy
+            # classify it (observe_rename) and decide may_allocate:
+            #   "dispatch" — ROB + IQ + register + LQ/SQ now, honouring
+            #                the release reserve;
+            #   "park"     — ROB now, IQ and register (and LQ/SQ when
+            #                the policy parks them) deferred to release;
+            #   "stall"    — the LTP is full; rename stops this cycle.
+            # A renamed record registers with its unfinished producers
+            # (waiting_on) and, if predicted long-latency, joins the
+            # sorted long-latency list that defines the boundary.
+            if fe_head < fe_len:
+                renamed = 0
+                while renamed < rename_width:
+                    if fe_head >= fe_len:
+                        break
+                    if fe_ready[fe_head] > now:
+                        break
+                    if rob_len >= rob_capacity:
+                        if renamed == 0:
+                            s_stall_rob += 1
+                        break
+                    dyn = dyns[fe_idx[fe_head]]
+                    if skip_may_allocate:
+                        # probe-first: same checks the dispatch branch
+                        # performs below, hoisted above the record
+                        # construction they would discard
+                        stall = 0
+                        if iq_occ >= iq_capacity:
+                            stall = 1
+                        else:
+                            rf_class = dyn.rf_class
+                            if (rf_class is not None
+                                    and (rfi_free if rf_class == "int"
+                                         else rff_free) < rf_need):
+                                stall = 2
+                            elif ((dyn.is_load and lq_used + lsq_need
+                                   > lq_capacity)
+                                  or (dyn.is_store
+                                      and len(stores_dict) + lsq_need
+                                      > sq_capacity)):
+                                stall = 3
+                        if stall:
+                            if observe_probe(dyn):
+                                s_urgent += 1
+                            else:
+                                s_non_urgent += 1
+                            if renamed == 0:
+                                if stall == 1:
+                                    s_stall_iq += 1
+                                elif stall == 2:
+                                    s_stall_regs += 1
+                                else:
+                                    s_stall_lsq += 1
+                            break
+                    # one fresh record per rename *attempt* (ticket-pool
+                    # accounting depends on it; see module docstring)
+                    record = InFlightInst(dyn)
+                    if not defer_producers:
+                        src_producers = dyn.src_producers
+                        n_producers = len(src_producers)
+                        if n_producers == 1:
+                            p0 = src_producers[0]
+                            record.producer_records = (
+                                records[p0 - seq0] if p0 >= seq0
+                                else None,)
+                        elif n_producers == 2:
+                            p0, p1 = src_producers
+                            record.producer_records = (
+                                records[p0 - seq0] if p0 >= seq0 else None,
+                                records[p1 - seq0] if p1 >= seq0
+                                else None)
+                        elif n_producers:
+                            record.producer_records = tuple(
+                                records[p - seq0] if p >= seq0 else None
+                                for p in src_producers)
+
+                    observe_rename(record)
+                    if record.urgent:
+                        s_urgent += 1
+                    else:
+                        s_non_urgent += 1
+                    if record.non_ready:
+                        s_non_ready += 1
+
+                    memdep_forced = False
+                    if record.is_load and parked_store_pcs:
+                        for store_pc in predicted_stores(dyn.pc):
+                            if parked_store_pcs.get(store_pc):
+                                memdep_forced = True
+                                break
+
+                    if skip_may_allocate:
+                        decision = "dispatch"
+                    else:
+                        decision = may_allocate(record, now, memdep_forced)
+                    if decision == "stall":
+                        if renamed == 0:
+                            s_stall_ltp_full += 1
                         break
 
-            decision = policy.may_allocate(record, now, memdep_forced)
-            if decision == "stall":
-                if renamed == 0:
-                    stats.stall_ltp_full += 1
-                break
+                    if decision == "park":
+                        park_ok = True
+                        if record.is_load and not park_loads:
+                            if lq_used + lsq_need > lq_capacity:
+                                park_ok = False
+                        if park_ok and record.is_store and not park_stores:
+                            if len(stores_dict) + lsq_need > sq_capacity:
+                                park_ok = False
+                        if (park_ok and not defer_registers
+                                and record.rf_class is not None):
+                            if (rfi_free if record.rf_class == "int"
+                                    else rff_free) < rf_need:
+                                park_ok = False
+                        if not park_ok:
+                            if renamed == 0:
+                                s_stall_lsq += 1
+                            break
+                        if record.is_load and not park_loads:
+                            lq_used += 1
+                            record.lq_allocated = True
+                        if record.is_store and not park_stores:
+                            allocate_store(dyn.seq, dyn.pc)
+                            record.sq_allocated = True
+                        if (not defer_registers
+                                and record.rf_class is not None):
+                            if record.rf_class == "int":
+                                rfi_free -= 1
+                            else:
+                                rff_free -= 1
+                            record.rf_allocated = True
+                        rob_append(record)
+                        rob_len += 1
+                        policy_park(record)
+                        s_ltp_parked += 1
+                        s_ltp_writes += 1
+                        if record.is_store:
+                            pc = dyn.pc
+                            parked_store_pcs[pc] = (
+                                parked_store_pcs.get(pc, 0) + 1)
+                    else:
+                        rf_class = record.rf_class
+                        if not skip_may_allocate:
+                            # (the skip path already ran these checks
+                            # in the probe above)
+                            if iq_occ >= iq_capacity:
+                                if renamed == 0:
+                                    s_stall_iq += 1
+                                break
+                            if (rf_class is not None
+                                    and (rfi_free if rf_class == "int"
+                                         else rff_free) < rf_need):
+                                if renamed == 0:
+                                    s_stall_regs += 1
+                                break
+                            if (record.is_load
+                                    and lq_used + lsq_need > lq_capacity):
+                                if renamed == 0:
+                                    s_stall_lsq += 1
+                                break
+                            if (record.is_store
+                                    and len(stores_dict) + lsq_need
+                                    > sq_capacity):
+                                if renamed == 0:
+                                    s_stall_lsq += 1
+                                break
+                        if rf_class is not None:
+                            if rf_class == "int":
+                                rfi_free -= 1
+                            else:
+                                rff_free -= 1
+                            record.rf_allocated = True
+                        if record.is_load:
+                            lq_used += 1
+                            record.lq_allocated = True
+                        if record.is_store:
+                            allocate_store(dyn.seq, dyn.pc)
+                            record.sq_allocated = True
+                        rob_append(record)
+                        rob_len += 1
+                        iq_occ += 1
+                        record.in_iq = True
+                        # IQ insert: waiting_on is still 0 here; if the
+                        # dependences registered below raise it, the
+                        # issue stage drops this heap entry as stale
+                        _heappush(ready_heap, dyn.seq - seq0)
+                        s_iq_writes += 1
 
-            if decision == "park":
-                if not self._can_allocate_park(record):
-                    if renamed == 0:
-                        stats.stall_lsq += 1
-                    break
-                self._allocate_park(record, now)
+                    fe_head += 1
+                    if fe_head > 64:
+                        del fe_ready[:fe_head]
+                        del fe_idx[:fe_head]
+                        fe_head = 0
+                        fe_len = len(fe_ready)
+                    rel = dyn.seq - seq0
+                    records[rel] = record
+                    if defer_producers:
+                        src_producers = dyn.src_producers
+                        n_producers = len(src_producers)
+                        if n_producers == 1:
+                            p0 = src_producers[0]
+                            record.producer_records = (
+                                records[p0 - seq0] if p0 >= seq0
+                                else None,)
+                        elif n_producers == 2:
+                            p0, p1 = src_producers
+                            record.producer_records = (
+                                records[p0 - seq0] if p0 >= seq0 else None,
+                                records[p1 - seq0] if p1 >= seq0
+                                else None)
+                        elif n_producers:
+                            record.producer_records = tuple(
+                                records[p - seq0] if p >= seq0 else None
+                                for p in src_producers)
+                    waiting = 0
+                    for producer in record.producer_records:
+                        if producer is not None and not producer.done:
+                            consumers = producer.consumers
+                            if consumers:
+                                consumers.append(record)
+                            else:
+                                producer.consumers = [record]
+                            waiting += 1
+                    record.waiting_on = waiting
+                    if waiting == 0 and record.in_iq:
+                        _heappush(ready_heap, rel)
+                    record.rename_cycle = now
+                    if record.predicted_ll and not record.ll_listed:
+                        record.ll_listed = True
+                        insort(ll_seqs, record.seq)
+                    renamed += 1
+                    s_renamed += 1
+                if renamed:
+                    progress = True
+
+            # ==== ISSUE / EXECUTE =====================================
+            # Oldest-first select from the ready heap, up to issue_width,
+            # subject to FU counts per group and busy non-pipelined
+            # units; entries that cannot go now are deferred, not lost.
+            # A load checks older stores (forward / wait on an unknown
+            # address the memory-dependence predictor flags / access
+            # the cache, retrying when the MSHRs are full); a store
+            # resolves its address, detects younger loads that already
+            # issued to the same word (a violation: penalty on commit,
+            # predictor and policy trained); everything else takes its
+            # op-class latency.  Each schedules its completion event
+            # (plus a tag-known event for ticket owners).
+            if ready_heap:
+                fu_used[:] = fu_zero
+                del picked[:]
+                del deferred[:]
+                n_picked = 0
+                while ready_heap and n_picked < issue_width:
+                    rel = _heappop(ready_heap)
+                    record = records[rel]
+                    if record.issued or not record.in_iq:
+                        continue  # stale heap entry
+                    if record.waiting_on != 0:
+                        continue  # stale: re-blocked before selection
+                    gid = col_gid[rel]
+                    used = fu_used[gid]
+                    if used >= fu_counts[gid]:
+                        deferred.append(rel)
+                        continue
+                    if col_nonpipelined[rel] and now < fu_busy[gid]:
+                        deferred.append(rel)
+                        continue
+                    dyn = record.dyn
+                    if record.is_load:
+                        addr = dyn.addr
+                        if stores_dict:
+                            state, entry = older_store_state(
+                                dyn.seq, addr, now)
+                        else:
+                            state = "clear"
+                        if state == "forward":
+                            completion = now + lat_agu + lat_forward
+                            record.mem_level = "forward"
+                            record.completion_cycle = completion
+                            enc = completion * SHIFT + rel * 2
+                            _heappush(events, enc)
+                            if record.own_ticket is not None:
+                                _heappush(events, enc + 1)
+                            word = addr & _WORD_MASK
+                            lst = open_loads.get(word)
+                            if lst is None:
+                                open_loads[word] = [record]
+                            else:
+                                lst.append(record)
+                        else:
+                            if state == "unknown" and must_wait(
+                                    dyn.pc, entry.pc):
+                                deferred.append(rel)
+                                continue  # wait for the store's address
+                            result = access_data(addr, now + lat_agu,
+                                                 False, dyn.pc)
+                            if result is None:
+                                deferred.append(rel)
+                                continue  # MSHRs full; retry
+                            level = result.level
+                            record.mem_level = level
+                            long_latency = (level == "l3"
+                                            or level == "dram")
+                            record.actual_ll = long_latency
+                            if long_latency:
+                                s_ll_loads += 1
+                                if not record.ll_listed:
+                                    record.ll_listed = True
+                                    insort(ll_seqs, record.seq)
+                            if level == "dram":
+                                policy_dram(now)
+                            completion = result.complete_cycle
+                            record.completion_cycle = completion
+                            _heappush(events,
+                                      completion * SHIFT + rel * 2)
+                            if record.own_ticket is not None:
+                                tag_cycle = result.tag_known_cycle
+                                if completion < tag_cycle:
+                                    tag_cycle = completion
+                                _heappush(events,
+                                          tag_cycle * SHIFT + rel * 2 + 1)
+                            word = addr & _WORD_MASK
+                            lst = open_loads.get(word)
+                            if lst is None:
+                                open_loads[word] = [record]
+                            else:
+                                lst.append(record)
+                    elif record.is_store:
+                        addr = dyn.addr
+                        resolve_cycle = now + lat_agu
+                        word = addr & _WORD_MASK
+                        entry = stores_dict[dyn.seq]
+                        entry.addr = word
+                        entry.data_ready_cycle = resolve_cycle
+                        open_list = open_loads.get(word)
+                        if open_list:
+                            seq = dyn.seq
+                            for load in open_list:
+                                if (load.seq > seq
+                                        and load.issue_cycle is not None):
+                                    s_violations += 1
+                                    stall = (resolve_cycle
+                                             + violation_penalty)
+                                    if stall > commit_stall_until:
+                                        commit_stall_until = stall
+                                    train_violation(load.dyn.pc, dyn.pc)
+                                    policy_violation(load.dyn.pc, dyn.pc)
+                        completion = resolve_cycle + lat_store
+                        record.completion_cycle = completion
+                        _heappush(events, completion * SHIFT + rel * 2)
+                    else:
+                        latency = lat_table[col_cid[rel]]
+                        completion = now + latency
+                        if col_nonpipelined[rel]:
+                            fu_busy[gid] = completion
+                            if record.own_ticket is not None:
+                                lead = dram_wakeup_lead
+                                if latency < lead:
+                                    lead = latency
+                                _heappush(events,
+                                          (completion - lead) * SHIFT
+                                          + rel * 2 + 1)
+                        record.completion_cycle = completion
+                        _heappush(events, completion * SHIFT + rel * 2)
+                    fu_used[gid] = used + 1
+                    record.issued = True
+                    record.in_iq = False
+                    iq_occ -= 1
+                    picked.append(rel)
+                    n_picked += 1
+                for rel in deferred:
+                    _heappush(ready_heap, rel)
+                if picked:
+                    # issue_cycle is stamped after selection: a store
+                    # executing this same cycle must not see loads
+                    # picked this cycle as "issued"
+                    for rel in picked:
+                        records[rel].issue_cycle = now
+                        s_rf_reads += col_n_srcs[rel]
+                    s_issued += n_picked
+                    progress = True
+
+            # ==== FETCH ==============================================
+            # One I-cache access per fetch group.  Fetch stops while a
+            # mispredicted branch is unresolved (stall_frontend counts
+            # those cycles), while an I-cache miss is outstanding, and
+            # when the frontend buffer lacks a group's room.  A group is
+            # up to fetch_width instructions, ended early by a taken
+            # jump or by a branch the gshare predictor gets wrong; it
+            # reaches rename frontend_depth cycles later.
+            if fetch_blocked_on is not None:
+                s_stall_frontend += 1
+            elif now >= fetch_stall_until and trace_idx < n:
+                if fe_len - fe_head + fetch_width <= frontend_cap:
+                    icache = access_inst(col_code_addr[trace_idx], now)
+                    if icache.complete_cycle > now + 1:
+                        fetch_stall_until = icache.complete_cycle
+                    else:
+                        fetched = 0
+                        ready = now + frontend_depth
+                        idx = trace_idx
+                        while fetched < fetch_width and idx < n:
+                            fe_ready.append(ready)
+                            fe_idx.append(idx)
+                            fetched += 1
+                            s_fetched += 1
+                            j = idx
+                            idx += 1
+                            if col_is_branch[j]:
+                                if not bpred_update(col_pc[j],
+                                                    col_taken[j]):
+                                    s_mispredicts += 1
+                                    fetch_blocked_on = seq0 + j
+                                    break
+                            elif col_taken[j]:
+                                break  # taken jump ends the fetch group
+                        trace_idx = idx
+                        if fetched:
+                            fe_len += fetched
+                            progress = True
+
+            # ==== IDLE SKIP ==========================================
+            # If nothing progressed and nothing is due next cycle, jump
+            # straight to the earliest future event (completion, decode,
+            # fetch or commit stall end, monitor expiry, policy hint);
+            # with no event at all and work left, the core deadlocked.
+            if progress or release_pending:
+                imminent = True
             else:
-                blocker = self._can_allocate_dispatch(record)
-                if blocker is not None:
-                    if renamed == 0:
-                        setattr(stats, blocker,
-                                getattr(stats, blocker) + 1)
+                imminent = False
+                while ready_heap:
+                    record = records[ready_heap[0]]
+                    if record.issued or not record.in_iq:
+                        _heappop(ready_heap)
+                        continue
+                    imminent = True
                     break
-                self._allocate_dispatch(record, now)
+                if (not imminent and events
+                        and events[0] < now_limit + SHIFT):
+                    imminent = True
+                if (not imminent and fe_head < fe_len
+                        and fe_ready[fe_head] <= now + 1):
+                    imminent = True
 
-            # pop the frontend FIFO; periodic compaction bounds the list
-            head_idx += 1
-            if head_idx > 64:
-                del frontend[:head_idx]
-                head_idx = 0
-                frontend_len = len(frontend)
-            self._frontend_head = head_idx
-            scoreboard[dyn.seq] = record
-            self._register_dependences(record)
-            record.rename_cycle = now
-            if record.predicted_ll:
-                self._ll_add(record)
-            renamed += 1
-            stats.renamed += 1
-        return renamed > 0
-
-    def _can_allocate_park(self, record: InFlightInst) -> bool:
-        if record.is_load and not self._park_loads:
-            if not self.lsq.can_allocate_load():
-                return False
-        if record.is_store and not self._park_stores:
-            if not self.lsq.can_allocate_store():
-                return False
-        if not self._defer_registers and record.rf_class is not None:
-            # WIB-style buffer: registers are taken at rename as usual
-            if not self.regfile.can_allocate(record.rf_class):
-                return False
-        return True
-
-    def _allocate_park(self, record: InFlightInst, now: int) -> None:
-        dyn = record.dyn
-        if record.is_load and not self._park_loads:
-            self.lsq.allocate_load()
-            record.lq_allocated = True
-        if record.is_store and not self._park_stores:
-            self.lsq.allocate_store(dyn.seq, dyn.pc)
-            record.sq_allocated = True
-        if not self._defer_registers and record.rf_class is not None:
-            self.regfile.allocate(record.rf_class)
-            record.rf_allocated = True
-        self.rob.push(record)
-        self.policy.park(record)
-        self.stats.ltp_parked += 1
-        self.stats.ltp_writes += 1
-        if record.is_store:
-            count = self._parked_store_pcs.get(dyn.pc, 0)
-            self._parked_store_pcs[dyn.pc] = count + 1
-
-    def _can_allocate_dispatch(self, record: InFlightInst) -> Optional[str]:
-        """Return the stall-stat name blocking dispatch, or None.
-
-        Equivalent to ``iq.full`` / ``regfile.can_allocate`` /
-        ``lsq.can_allocate_*`` with the reserve honoured, expanded to
-        direct comparisons because rename retries this check every
-        cycle it stays blocked.
-        """
-        iq = self.iq
-        if iq.occupancy >= iq.capacity:
-            return "stall_iq"
-        rf_class = record.rf_class
-        if rf_class is not None and self._rf_free[rf_class] < self._rf_need:
-            return "stall_regs"
-        lsq = self.lsq
-        if record.is_load and lsq.lq_used + self._lsq_need > lsq.lq_capacity:
-            return "stall_lsq"
-        if record.is_store and lsq.sq_used + self._lsq_need > lsq.sq_capacity:
-            return "stall_lsq"
-        return None
-
-    def _allocate_dispatch(self, record: InFlightInst, now: int) -> None:
-        # _can_allocate_dispatch just verified every resource (with the
-        # reserve honoured), so take them directly.
-        dyn = record.dyn
-        if record.rf_class is not None:
-            self._rf_free[record.rf_class] -= 1
-            record.rf_allocated = True
-        if record.is_load:
-            self.lsq.lq_used += 1
-            record.lq_allocated = True
-        if record.is_store:
-            self.lsq.allocate_store(dyn.seq, dyn.pc)
-            record.sq_allocated = True
-        self._rob_entries.append(record)
-        self.iq.insert(record)
-        self.stats.iq_writes += 1
-
-    def _register_dependences(self, record: InFlightInst) -> None:
-        waiting = 0
-        for producer in record.producer_records:
-            if producer is not None and not producer.done:
-                consumers = producer.consumers
-                if consumers:
-                    consumers.append(record)
-                else:  # first consumer: swap the shared () for a list
-                    producer.consumers = [record]
-                waiting += 1
-        record.waiting_on = waiting
-        if waiting == 0 and record.in_iq:
-            self.iq.mark_ready(record)
-
-    # ==================================================================
-    # LTP release (wakeup)
-    # ==================================================================
-    def _boundary_seq(self) -> int:
-        if len(self._ll_seqs) < 2:
-            return NO_BOUNDARY
-        return self._ll_seqs[1]
-
-    def _ll_add(self, record: InFlightInst) -> None:
-        if not record.ll_listed:
-            record.ll_listed = True
-            insort(self._ll_seqs, record.seq)
-
-    def _ll_remove(self, record: InFlightInst) -> None:
-        if record.ll_listed:
-            record.ll_listed = False
-            index = self._ll_seqs.index(record.seq)
-            del self._ll_seqs[index]
-
-    def _ltp_release(self, now: int) -> Tuple[int, bool]:
-        policy = self.policy
-        if not len(policy.queue):
-            return 0, False
-        ports = self._release_ports
-        boundary = self._boundary_seq()
-        head = self.rob.head()
-        force_seq = head.seq if head is not None and head.parked else -1
-        released = 0
-        while released < ports:
-            candidates = policy.on_release_scan(
-                now, boundary, force_seq, 1)
-            if not candidates:
-                break
-            record = candidates[0]
-            if not self._try_release(record, now):
-                break
-            released += 1
-            if record.forced_release:
-                self.stats.ltp_forced_releases += 1
-        pending = False
-        if released >= ports:
-            pending = bool(policy.on_release_scan(
-                now, boundary, force_seq, 1))
-        return released, pending
-
-    def _try_release(self, record: InFlightInst, now: int) -> bool:
-        dyn = record.dyn
-        if self.iq.full:
-            return False
-        if (record.rf_class is not None and not record.rf_allocated
-                and not self.regfile.can_allocate(record.rf_class,
-                                                  honor_reserve=False)):
-            return False
-        if record.is_load and not record.lq_allocated:
-            if not self.lsq.can_allocate_load(honor_reserve=False):
-                return False
-        if record.is_store and not record.sq_allocated:
-            if not self.lsq.can_allocate_store(honor_reserve=False):
-                return False
-
-        self.policy.release(record)
-        if record.rf_class is not None and not record.rf_allocated:
-            self.regfile.allocate(record.rf_class, honor_reserve=False)
-            record.rf_allocated = True
-        if record.is_load and not record.lq_allocated:
-            self.lsq.allocate_load()
-            record.lq_allocated = True
-        if record.is_store and not record.sq_allocated:
-            self.lsq.allocate_store(dyn.seq, dyn.pc)
-            record.sq_allocated = True
-        if record.is_store:
-            count = self._parked_store_pcs.get(dyn.pc, 0)
-            if count <= 1:
-                self._parked_store_pcs.pop(dyn.pc, None)
+            if imminent:
+                step = 1
             else:
-                self._parked_store_pcs[dyn.pc] = count - 1
-        record.release_cycle = now
-        self.iq.insert(record)
-        self.stats.ltp_released += 1
-        self.stats.ltp_reads += 1
-        self.stats.iq_writes += 1
-        return True
+                target = events[0] // SHIFT if events else None
+                if fe_head < fe_len:
+                    c = fe_ready[fe_head]
+                    if target is None or c < target:
+                        target = c
+                if fetch_stall_until > now and fetch_blocked_on is None:
+                    if target is None or fetch_stall_until < target:
+                        target = fetch_stall_until
+                if commit_stall_until > now:
+                    if target is None or commit_stall_until < target:
+                        target = commit_stall_until
+                if monitor_auto:
+                    expiry = monitor.expiry
+                    if expiry > now and (target is None
+                                         or expiry < target):
+                        target = expiry
+                if ltp_entries:
+                    hint = policy_next_event(now)
+                    if (hint is not None and hint > now
+                            and (target is None or hint < target)):
+                        target = hint
+                if target is None:
+                    if (trace_idx >= n and fe_head >= fe_len
+                            and not rob_len):
+                        break  # drained between stages; finished
+                    lsq.lq_used = lq_used
+                    rf_free["int"] = rfi_free
+                    rf_free["fp"] = rff_free
+                    self._deadlock(now, iq_occ,
+                                          fe_len - fe_head)
+                if target <= now:
+                    target = now + 1
+                step = target - now if allow_skip else 1
 
-    # ==================================================================
-    # issue / execute
-    # ==================================================================
-    def _issue(self, now: int) -> bool:
-        iq = self.iq
-        if not iq._ready_heap:
-            return False
-        fu_used = self._fu_used
-        fu_used.clear()
-        fu_counts = self.params.fu_counts
-        fu_busy_until = self._fu_busy_until
-        execute = self._execute
+            # ==== OCCUPANCY ==========================================
+            # Integrate every structure's occupancy over the step, so
+            # time-weighted averages are exact across idle jumps.
+            o_rob_i += rob_len * step
+            if rob_len > o_rob_p:
+                o_rob_p = rob_len
+            o_iq_i += iq_occ * step
+            if iq_occ > o_iq_p:
+                o_iq_p = iq_occ
+            o_lq_i += lq_used * step
+            if lq_used > o_lq_p:
+                o_lq_p = lq_used
+            level = len(stores_dict)
+            o_sq_i += level * step
+            if level > o_sq_p:
+                o_sq_p = level
+            level = rf_cap_int - rfi_free
+            o_rfi_i += level * step
+            if level > o_rfi_p:
+                o_rfi_p = level
+            level = rf_cap_fp - rff_free
+            o_rff_i += level * step
+            if level > o_rff_p:
+                o_rff_p = level
+            if ltp_entries:
+                level = len(ltp_entries)
+                o_ltp_i += level * step
+                if level > o_ltp_p:
+                    o_ltp_p = level
+                level = queue.parked_with_dst
+                o_lregs_i += level * step
+                if level > o_lregs_p:
+                    o_lregs_p = level
+                level = queue.parked_loads
+                o_lloads_i += level * step
+                if level > o_lloads_p:
+                    o_lloads_p = level
+                level = queue.parked_stores
+                o_lstores_i += level * step
+                if level > o_lstores_p:
+                    o_lstores_p = level
+            if not monitor_off:
+                s_enabled_cycles += monitor.enabled_span(now, now + step)
 
-        def try_issue(record: InFlightInst) -> bool:
-            group = record.fu_group
-            used = fu_used.get(group, 0)
-            if used >= fu_counts.get(group, 1):
-                return False
-            if record.nonpipelined and now < fu_busy_until.get(group, 0):
-                return False
-            if not execute(record, now):
-                return False
-            fu_used[group] = used + 1
-            return True
+            now += step
+            if now - last_commit_cycle > deadlock_cycles:
+                lsq.lq_used = lq_used
+                rf_free["int"] = rfi_free
+                rf_free["fp"] = rff_free
+                self._deadlock(now - step, iq_occ,
+                                      fe_len - fe_head)
 
-        picked = iq.select(try_issue, self.params.issue_width)
-        if not picked:
-            return False
-        stats = self.stats
-        for record in picked:
-            record.issue_cycle = now
-            stats.issued += 1
-            stats.rf_reads += record.dyn.n_srcs
-        return True
-
-    def _execute(self, record: InFlightInst, now: int) -> bool:
-        """Compute the completion time; return False to retry later."""
-        if record.is_load:
-            return self._execute_load(record, now)
-
-        dyn = record.dyn
-        if record.is_store:
-            addr = dyn.addr
-            resolve_cycle = now + self._lat_agu
-            self.lsq.store_executed(dyn.seq, addr, resolve_cycle)
-            self._check_violation(record, addr, resolve_cycle)
-            completion = resolve_cycle + self._lat_store
-            record.completion_cycle = completion
-            _heappush(self._events,
-                      (completion, record.seq, _EV_COMPLETE, record))
-            return True
-
-        latency = self._lat_by_class[dyn.op_class]
-        completion = now + latency
-        if record.nonpipelined:
-            self._fu_busy_until[record.fu_group] = completion
-            if record.own_ticket is not None:
-                lead = min(self.params.mem.dram_wakeup_lead, latency)
-                self._schedule_tag(record, completion - lead)
-        record.completion_cycle = completion
-        _heappush(self._events, (completion, record.seq, _EV_COMPLETE, record))
-        return True
-
-    # ------------------------------------------------------------------
-    # reference (non-pre-decoded) issue/execute path.  Semantically
-    # identical to the fast path above but derives every piece of
-    # per-instruction metadata from the authoritative opcode tables per
-    # use, exactly like the original implementation.  Differential tests
-    # run both paths and assert bit-identical statistics.
-    # ------------------------------------------------------------------
-    def _issue_reference(self, now: int) -> bool:
-        fu_used: Dict[str, int] = {}
-        params = self.params
-
-        def try_issue(record: InFlightInst) -> bool:
-            group = _FU_GROUP[record.dyn.op_class]
-            if fu_used.get(group, 0) >= params.fu_counts.get(group, 1):
-                return False
-            if record.dyn.op_class in _NONPIPELINED:
-                if now < self._fu_busy_until.get(group, 0):
-                    return False
-            if not self._execute_reference(record, now):
-                return False
-            fu_used[group] = fu_used.get(group, 0) + 1
-            return True
-
-        picked = self.iq.select(try_issue, params.issue_width)
-        for record in picked:
-            record.issue_cycle = now
-            self.stats.issued += 1
-            self.stats.rf_reads += len(record.dyn.inst.srcs)
-        return bool(picked)
-
-    def _execute_reference(self, record: InFlightInst, now: int) -> bool:
-        dyn = record.dyn
-        op_class = dyn.inst.op_class
-        latencies = self.params.latencies
-
-        if op_class is OpClass.LOAD:
-            return self._execute_load(record, now)
-
-        if op_class is OpClass.STORE:
-            agu = latencies["agu"]
-            addr = dyn.addr
-            resolve_cycle = now + agu
-            self.lsq.store_executed(dyn.seq, addr, resolve_cycle)
-            self._check_violation(record, addr, resolve_cycle)
-            completion = resolve_cycle + latencies["store"]
-            self._schedule_completion(record, completion)
-            return True
-
-        latency = latencies.get(op_class.value, latencies["int_alu"])
-        completion = now + latency
-        if op_class in _NONPIPELINED:
-            group = _FU_GROUP[op_class]
-            self._fu_busy_until[group] = completion
-            if record.own_ticket is not None:
-                lead = min(self.params.mem.dram_wakeup_lead, latency)
-                self._schedule_tag(record, completion - lead)
-        self._schedule_completion(record, completion)
-        return True
-
-    def _execute_load(self, record: InFlightInst, now: int) -> bool:
-        dyn = record.dyn
-        agu = self._lat_agu
-        addr = dyn.addr
-
-        state, entry = self.lsq.older_store_state(dyn.seq, addr, now)
-        if state == "unknown":
-            if self.memdep.must_wait(dyn.pc, entry.pc):
-                return False  # wait for the store's address
-            # speculate past the unknown store
-        elif state == "forward":
-            completion = now + agu + self._lat_forward
-            record.mem_level = "forward"
-            self._schedule_completion(record, completion)
-            self._schedule_tag(record, completion)
-            self._track_open_load(record, addr)
-            return True
-
-        result = self.hierarchy.access_data(addr, now + agu,
-                                            is_store=False, pc=dyn.pc)
-        if result is None:
-            return False  # MSHRs full; retry
-        record.mem_level = result.level
-        record.actual_ll = result.long_latency
-        if result.long_latency:
-            self.stats.long_latency_loads += 1
-            self._ll_add(record)
-        if result.level == "dram":
-            self.policy.on_dram_demand_access(now)
-        self._schedule_completion(record, result.complete_cycle)
-        self._schedule_tag(record,
-                           min(result.tag_known_cycle, result.complete_cycle))
-        self._track_open_load(record, addr)
-        return True
-
-    def _track_open_load(self, record: InFlightInst, addr: int) -> None:
-        word = addr & _WORD_MASK
-        self._open_loads.setdefault(word, []).append(record)
-
-    def _untrack_open_load(self, record: InFlightInst) -> None:
-        word = record.dyn.addr & _WORD_MASK
-        entries = self._open_loads.get(word)
-        if entries:
-            try:
-                entries.remove(record)
-            except ValueError:
-                pass
-            if not entries:
-                del self._open_loads[word]
-
-    def _check_violation(self, store: InFlightInst, addr: int,
-                         now: int) -> None:
-        """A store resolved its address: detect younger issued loads."""
-        word = addr & _WORD_MASK
-        for load in self._open_loads.get(word, ()):
-            if load.seq > store.seq and load.issue_cycle is not None:
-                self.stats.memory_violations += 1
-                self._commit_stall_until = max(
-                    self._commit_stall_until,
-                    now + self.params.violation_penalty)
-                self.memdep.train_violation(load.dyn.pc, store.dyn.pc)
-                self.policy.on_violation(load.dyn.pc, store.dyn.pc)
-
-    def _schedule_completion(self, record: InFlightInst, cycle: int) -> None:
-        record.completion_cycle = cycle
-        _heappush(self._events, (cycle, record.seq, _EV_COMPLETE, record))
-
-    def _schedule_tag(self, record: InFlightInst, cycle: int) -> None:
-        if record.own_ticket is not None:
-            _heappush(self._events, (cycle, record.seq, _EV_TAG, record))
-
-    # ==================================================================
-    # writeback
-    # ==================================================================
-    def _writeback(self, now: int) -> bool:
-        events = self._events
-        width = self.params.writeback_width
-        completed = 0
-        progress = False
-        policy_tag = self.policy.on_tag_known
-        complete = self._complete
-        while events and events[0][0] <= now:
-            if events[0][2] == _EV_COMPLETE and completed >= width:
-                break
-            _, _, kind, record = _heappop(events)
-            if kind == _EV_TAG:
-                policy_tag(record)
-                progress = True
-                continue
-            completed += 1
-            progress = True
-            complete(record, now)
-        return progress
-
-    def _complete(self, record: InFlightInst, now: int) -> None:
-        record.done = True
-        stats = self.stats
-        if record.has_dst:
-            stats.rf_writes += 1
-        iq_mark_ready = self.iq.mark_ready
-        for consumer in record.consumers:
-            waiting = consumer.waiting_on - 1
-            consumer.waiting_on = waiting
-            if waiting == 0 and consumer.in_iq:
-                iq_mark_ready(consumer)
-        self._ll_remove(record)
-        if record.own_ticket is not None:
-            # safety net: clear tickets no later than completion
-            self.policy.on_tag_known(record)
-        if record.is_load:
-            self.policy.on_load_complete(record, record.actual_ll)
-        if record.seq == self._fetch_blocked_on:
-            self._fetch_blocked_on = None
-            self._fetch_stall_until = now + self.params.mispredict_penalty
-
-    # ==================================================================
-    # commit
-    # ==================================================================
-    def _commit(self, now: int) -> bool:
-        if now < self._commit_stall_until:
-            return False
-        rob_entries = self._rob_entries
-        if not rob_entries or not rob_entries[0].done:
-            return False
-        committed = 0
-        width = self.params.commit_width
-        stats = self.stats
-        policy_commit = self.policy.on_commit
-        regfile_release = self.regfile.release
-        lsq = self.lsq
-        pop = rob_entries.popleft
-        head = rob_entries[0]
-        while committed < width:
-            pop()
-            dyn = head.dyn
-            if head.has_dst:
-                # frees the previous mapping of the architectural register
-                regfile_release(head.rf_class)
-            if head.is_load:
-                lsq.release_load()
-                self._untrack_open_load(head)
-                stats.committed_loads += 1
-            elif head.is_store:
-                self.hierarchy.commit_store(dyn.addr)
-                lsq.release_store(dyn.seq)
-                stats.committed_stores += 1
-            elif dyn.is_branch:
-                stats.committed_branches += 1
-            policy_commit(head)
-            committed += 1
-            stats.committed += 1
-            if not rob_entries:
-                break
-            head = rob_entries[0]
-            if not head.done:
-                break
-        self._last_commit_cycle = now
-        return True
-
-    # ==================================================================
-    # wrap-up
-    # ==================================================================
+        # =============================================================
+        # flush locals into the shared statistics / structures
+        # =============================================================
+        self.cycle = now
+        self.iq.occupancy = iq_occ
+        lsq.lq_used = lq_used
+        rf_free["int"] = rfi_free
+        rf_free["fp"] = rff_free
+        self.records = records
+        stats.cycles = now
+        stats.fetched = s_fetched
+        stats.renamed = s_renamed
+        stats.issued = s_issued
+        stats.committed = s_committed
+        stats.committed_loads = s_committed_loads
+        stats.committed_stores = s_committed_stores
+        stats.committed_branches = s_committed_branches
+        stats.branch_mispredicts = s_mispredicts
+        stats.memory_violations = s_violations
+        stats.ltp_parked = s_ltp_parked
+        stats.ltp_released = s_ltp_released
+        stats.ltp_forced_releases = s_ltp_forced
+        stats.ltp_enabled_cycles = s_enabled_cycles
+        stats.classified_urgent = s_urgent
+        stats.classified_non_urgent = s_non_urgent
+        stats.classified_non_ready = s_non_ready
+        stats.long_latency_loads = s_ll_loads
+        stats.stall_rob = s_stall_rob
+        stats.stall_iq = s_stall_iq
+        stats.stall_regs = s_stall_regs
+        stats.stall_lsq = s_stall_lsq
+        stats.stall_ltp_full = s_stall_ltp_full
+        stats.stall_frontend = s_stall_frontend
+        stats.iq_writes = s_iq_writes
+        stats.rf_reads = s_rf_reads
+        stats.rf_writes = s_rf_writes
+        stats.ltp_writes = s_ltp_writes
+        stats.ltp_reads = s_ltp_reads
+        occ = stats.occupancies
+        o = occ["rob"]
+        o.integral, o.peak = o_rob_i, o_rob_p
+        o = occ["iq"]
+        o.integral, o.peak = o_iq_i, o_iq_p
+        o = occ["lq"]
+        o.integral, o.peak = o_lq_i, o_lq_p
+        o = occ["sq"]
+        o.integral, o.peak = o_sq_i, o_sq_p
+        o = occ["rf_int"]
+        o.integral, o.peak = o_rfi_i, o_rfi_p
+        o = occ["rf_fp"]
+        o.integral, o.peak = o_rff_i, o_rff_p
+        o = occ["ltp"]
+        o.integral, o.peak = o_ltp_i, o_ltp_p
+        o = occ["ltp_regs"]
+        o.integral, o.peak = o_lregs_i, o_lregs_p
+        o = occ["ltp_loads"]
+        o.integral, o.peak = o_lloads_i, o_lloads_p
+        o = occ["ltp_stores"]
+        o.integral, o.peak = o_lstores_i, o_lstores_p
+        self._export_activity()
+        return stats
     def _export_activity(self) -> None:
         stats = self.stats
         self.policy.stats_extra(stats)

@@ -1,8 +1,9 @@
 """Simulation statistics: counters plus exact time-weighted occupancies.
 
 Occupancy accumulators integrate a level over simulated time, which stays
-exact even when the pipeline jumps over idle cycles: the pipeline calls
-:meth:`SimStats.accumulate` once per time step with the step's width.
+exact even when the pipeline jumps over idle cycles: the cycle loop
+integrates every level once per time step, weighted by the step's width
+(:meth:`SimStats.accumulate` is the same rule for other callers).
 """
 
 from __future__ import annotations

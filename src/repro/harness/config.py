@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.params import CoreParams
@@ -34,11 +34,17 @@ DEFAULT_MEASURE = int(os.environ.get("REPRO_MEASURE_INSTS", "2500"))
 #: way that must invalidate cached results)
 CONFIG_SCHEMA = 3
 
-#: simulation engines: the reference object-graph pipeline and the
-#: columnar struct-of-arrays kernel (:mod:`repro.core.kernel`), which
-#: produces bit-identical statistics
-DEFAULT_ENGINE = "object"
-ENGINES = (DEFAULT_ENGINE, "kernel")
+#: the names the retired ``engine`` selector took while two cycle
+#: engines existed; both now mean the one cycle loop
+_ENGINE_NAMES = ("object", "kernel")
+
+
+def check_engine_name(engine: Optional[str]) -> None:
+    """Accept ``None`` or a retired engine name; reject anything else."""
+    if engine is not None and engine not in _ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {engine!r}: expected one of "
+            f"{', '.join(_ENGINE_NAMES)} (both run the one cycle loop)")
 
 
 def _dataclass_from_dict(cls: type, data: Mapping[str, Any], what: str):
@@ -83,13 +89,13 @@ class SimConfig:
     #: artifact.  The payload's content hash makes different weights
     #: key differently.
     model: Optional[Dict[str, Any]] = None
-    #: simulation engine ("object" or "kernel"); both produce identical
-    #: statistics, so the engine is *not* part of the result identity —
-    #: it is omitted from default payloads and pre-engine configs keep
-    #: their cache keys, while explicit "kernel" payloads key separately
-    #: (a cheap safety net: a kernel-vs-object divergence would surface
-    #: as a cache mismatch rather than silently reusing results)
-    engine: str = DEFAULT_ENGINE
+    #: retired engine selector, kept so old callers and payloads still
+    #: construct: checked by :func:`check_engine_name`, then dropped —
+    #: never stored, serialized or hashed
+    engine: InitVar[Optional[str]] = None
+
+    def __post_init__(self, engine: Optional[str]) -> None:
+        check_engine_name(engine)
 
     def validate(self) -> "SimConfig":
         self.core.validate()
@@ -101,10 +107,6 @@ class SimConfig:
             from repro.policies.learned.artifact import \
                 validate_model_payload
             validate_model_payload(self.model)
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected one of "
-                f"{', '.join(ENGINES)}")
         if self.warmup < 0 or self.measure <= 0:
             raise ValueError("warmup must be >= 0, measure > 0")
         return self
@@ -125,8 +127,6 @@ class SimConfig:
             payload["policy"] = self.policy
         if self.model is not None:
             payload["model"] = self.model
-        if self.engine != DEFAULT_ENGINE:
-            payload["engine"] = self.engine
         return payload
 
     @classmethod
@@ -134,7 +134,8 @@ class SimConfig:
         """Inverse of :meth:`to_dict`; preserves :meth:`key` exactly.
 
         Tolerates payloads that omit ``core``/``ltp``/budgets (defaults
-        apply); rejects unknown fields inside them.
+        apply) and drops a retired ``engine`` field; rejects unknown
+        fields inside them.
         """
         payload = dict(data)
         payload.pop("schema", None)
@@ -149,7 +150,7 @@ class SimConfig:
         measure = payload.pop("measure", DEFAULT_MEASURE)
         policy = payload.pop("policy", DEFAULT_POLICY)
         model = payload.pop("model", None)
-        engine = payload.pop("engine", DEFAULT_ENGINE)
+        engine = payload.pop("engine", None)
         if payload:
             raise ValueError(
                 f"unknown config fields: {sorted(payload)}")
@@ -160,7 +161,7 @@ class SimConfig:
             ltp=(ltp_from_dict(ltp_data) if ltp_data is not None
                  else LTPConfig()),
             warmup=int(warmup), measure=int(measure),
-            policy=str(policy), model=model, engine=str(engine))
+            policy=str(policy), model=model, engine=engine)
         return config.validate()
 
     def key(self) -> str:

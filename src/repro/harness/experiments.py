@@ -1033,14 +1033,12 @@ def sweep_preset_names() -> List[str]:
 
 
 def resolve_sweep_spec(text: str, warmup: Optional[int] = None,
-                       measure: Optional[int] = None,
-                       engine: Optional[str] = None) -> SweepSpec:
+                       measure: Optional[int] = None) -> SweepSpec:
     """Resolve a sweep argument: a SweepSpec JSON file, else a preset.
 
     The one place ``repro sweep`` and ``scripts/ci_sweep.py`` share, so
-    spec-format and preset changes land once.  Budget and engine
-    overrides apply to both forms (``None`` keeps the file's or
-    factory's value; an ``"engine"`` axis still wins per point).
+    spec-format and preset changes land once.  Budget overrides apply
+    to both forms (``None`` keeps the file's or factory's value).
     """
     path = Path(text)
     if path.is_file():
@@ -1050,14 +1048,9 @@ def resolve_sweep_spec(text: str, warmup: Optional[int] = None,
             spec.warmup = warmup
         if measure is not None:
             spec.measure = measure
-        if engine is not None:
-            spec.engine = engine
         return spec
     try:
-        spec = sweep_preset(text, warmup=warmup, measure=measure)
-        if engine is not None:
-            spec.engine = engine
-        return spec
+        return sweep_preset(text, warmup=warmup, measure=measure)
     except KeyError:
         presets = ", ".join(sweep_preset_names()) or "none"
         raise ValueError(

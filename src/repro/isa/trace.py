@@ -34,7 +34,7 @@ from repro.isa.instructions import (FU_GROUP, NONPIPELINED_CLASSES,
 CODE_BASE = 1 << 40
 INST_BYTES = 4
 
-#: dense integer ids for the columnar (struct-of-arrays) kernel engine:
+#: dense integer ids for the columnar (struct-of-arrays) cycle loop:
 #: op classes and FU groups numbered in definition order, so per-run
 #: latency and FU tables are plain lists indexed by these ids
 OP_CLASS_ID: Dict[OpClass, int] = {op: i for i, op in enumerate(OpClass)}
@@ -48,7 +48,7 @@ def predecode_columns(trace: Sequence["DynInst"]) -> Dict[str, List]:
     """Columnar mirror of the pre-decoded per-instruction metadata.
 
     Returns parallel plain lists (one entry per dynamic instruction, in
-    trace order) for every field the kernel engine's hot loop indexes by
+    trace order) for every field the cycle loop indexes by
     position instead of reaching through ``DynInst`` attributes:
     fetch-side fields (``pc``, ``code_addr``, ``is_branch``, ``taken``)
     and issue-side fields (``cid`` — dense :data:`OP_CLASS_ID`, ``gid``

@@ -23,7 +23,7 @@ wake on data readiness (``waiting_on == 0``), so idle-skip equivalence
 holds by construction: rename attempts only happen on cycles the idle
 jump never skips, and every piece of learned state advances either
 per rename attempt (exactly like the LTP classifier) or keyed by
-sequence number, identically on both simulation engines.
+sequence number.
 """
 
 from __future__ import annotations

@@ -75,12 +75,15 @@ def test_context_manager_drops_memory_state(tmp_path):
     assert Session(cache_dir=str(tmp_path)).run(config).source == "disk"
 
 
-def test_clear_memory_caches_keeps_results_when_asked(tmp_path):
+def test_clear_memory_caches_keeps_disk_results(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    session.run(quick_config())
-    session.clear_memory_caches(results=False)
+    config = quick_config()
+    session.run(config)
+    session.clear_memory_caches()
     assert not session._trace_cache
-    assert session.results._memory  # legacy runner semantics
+    assert not session.results._memory
+    # the disk result cache survives and serves the point again
+    assert session.run(config).source == "disk"
 
 
 def test_cache_size_caps_validated():

@@ -1,14 +1,9 @@
 """Strict-mode equivalence regression tests.
 
-The optimized pipeline must produce bit-identical statistics:
-
-* with idle-span jumping on vs. strict cycle-by-cycle execution
-  (``allow_skip``), and
-* with the pre-decoded fast path vs. the reference per-use
-  table-lookup path (``use_predecode``),
-
-over randomized programs, core configurations and LTP modes, and over
-the real paper workloads.  Equality is asserted on
+The pipeline must produce bit-identical statistics with idle-span
+jumping on vs. strict cycle-by-cycle execution (``allow_skip``), over
+randomized programs, core configurations and LTP modes, and over the
+real paper workloads.  Equality is asserted on
 :meth:`SimStats.equivalence_signature`, which covers cycles, IPC,
 commit/issue counts and the exact per-structure occupancy integrals.
 """
@@ -36,8 +31,6 @@ from test_properties_pipeline import random_core, random_ltp, random_program
 
 MODES = (
     {"allow_skip": False},
-    {"use_predecode": False},
-    {"allow_skip": False, "use_predecode": False},
 )
 
 

@@ -1,129 +1,83 @@
-"""Differential and integration guarantees of the kernel engine.
+"""The cycle loop against the golden corpus, and its predecode plumbing.
 
-The columnar struct-of-arrays engine (:mod:`repro.core.kernel`) claims
-*bit-identity* with the reference object pipeline — not statistical
-closeness.  This module holds the evidence beyond the real-workload
-grid in ``test_policies_differential.py``:
+The corpus (``tests/golden/engine_corpus.jsonl``, see
+``golden_corpus.py``) freezes the full ``SimStats.as_dict()`` the
+retired object-graph engine produced.  The loop must reproduce every
+entry bit for bit, in idle-skip and in strict cycle-by-cycle mode:
 
-* randomized programs/cores across **every registered policy**, strict
-  and idle-skip execution, full ``SimStats.as_dict()`` equality;
-* randomized ``SimConfig``s through the **session path** (trace-array
-  cache, warmup windowing, oracle plumbing) — ``engine="kernel"``
-  results equal ``engine="object"`` field for field;
-* ``simulate_batch`` over one shared predecode equals N independent
-  reference runs;
-* the session's trace-arrays LRU: shared predecode across configs,
-  eviction alongside the trace cache, invalidation on trace growth;
-* cache-key stability: the default engine serializes exactly as
-  pre-engine configs did, while ``engine="kernel"`` keys separately.
+* randomized programs/cores across **every registered policy**;
+* randomized ``SimConfig``\\ s through the **session path** (trace-array
+  cache, warmup windowing, oracle plumbing).
+
+The real-workload grid is replayed in ``test_policies_differential.py``.
+This module also covers the session's trace-arrays LRU and the retired
+``engine`` keyword, which old callers and stored payloads still carry.
 """
 
-import random
+import json
+import tempfile
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from repro.api import Session
-from repro.core.kernel import KernelPipeline, predecode, simulate_batch
+from repro.api import Session, SweepSpec
+from repro.api.result import SimResult
+from repro.api.store import ResultStore
+from repro.core.kernel import KernelPipeline, predecode
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
-from repro.isa.assembler import assemble
-from repro.isa.executor import Executor
-from repro.ltp.config import no_ltp, proposed_ltp
-from repro.ltp.oracle import annotate_trace
-from repro.policies import build_policy, policy_names, policy_needs_oracle
+from repro.policies import policy_names
 
-from test_properties_pipeline import random_core, random_program
+import golden_corpus
 
 
-def _assert_same_stats(ref, ker, context):
-    mismatches = {key: (ref[key], ker.get(key))
-                  for key in ref if ref[key] != ker.get(key)}
-    assert set(ref) == set(ker), (context, set(ref) ^ set(ker))
-    assert not mismatches, (context, mismatches)
+@pytest.fixture(scope="module")
+def corpus():
+    return golden_corpus.load_corpus()
 
 
 # ================================================================
 # randomized programs x every policy x strict/skip
 # ================================================================
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=6, deadline=None)
-def test_kernel_matches_reference_for_every_policy(seed):
-    rng = random.Random(seed)
-    asm = random_program(rng, n_body=rng.randrange(3, 8))
-    trace = list(Executor(assemble(asm)).run(400))
-    core = random_core(rng)
-    ltp = proposed_ltp().but(entries=rng.choice([8, 32, 128]),
-                             ports=rng.choice([1, 2, 4]))
-    for name in policy_names():
-        oracle = None
-        if policy_needs_oracle(name, ltp):
-            oracle = annotate_trace(trace, core.mem,
-                                    window=min(core.rob_size or 256, 256))
-        for allow_skip in (True, False):
-            policies = [build_policy(name, ltp, core.mem.dram_latency,
-                                     oracle=oracle) for _ in range(2)]
-            ref = Pipeline(trace, params=core, ltp=ltp,
-                           policy=policies[0],
-                           allow_skip=allow_skip).run().as_dict()
-            ker = KernelPipeline(trace, params=core, ltp=ltp,
-                                 policy=policies[1],
-                                 allow_skip=allow_skip).run().as_dict()
-            _assert_same_stats(ref, ker, (seed, name, allow_skip))
+def test_kernel_matches_reference_for_every_policy(corpus):
+    entries = golden_corpus.index(corpus, "programs")
+    for seed in golden_corpus.PROGRAM_SEEDS:
+        case = golden_corpus.program_case(seed)
+        for name in policy_names():
+            entry = entries[(seed, name)]
+            for allow_skip in (True, False):
+                golden_corpus.assert_matches(
+                    entry, golden_corpus.run_program(case, name, allow_skip),
+                    allow_skip)
 
 
 # ================================================================
 # randomized SimConfigs through the session path
 # ================================================================
-@given(st.data())
-@settings(max_examples=8, deadline=None)
-def test_kernel_engine_matches_object_engine_through_session(tmp_path_factory,
-                                                             data):
-    rng = random.Random(data.draw(st.integers(0, 10_000)))
-    workload = rng.choice(["lattice_milc", "ptrchase_astar",
-                           "stream_triad", "sparse_gather"])
-    ltp = rng.choice([no_ltp(), proposed_ltp(),
-                      proposed_ltp().but(entries=16, ports=2)])
-    warmup = rng.choice([0, 200, 500])
-    measure = rng.choice([200, 400])
-    scratch = tmp_path_factory.mktemp("simcache")
-    with Session(cache_dir=str(scratch)) as session:
-        base = SimConfig(workload=workload, ltp=ltp,
-                         warmup=warmup, measure=measure)
-        kernel = SimConfig(workload=workload, ltp=ltp,
-                           warmup=warmup, measure=measure,
-                           engine="kernel")
-        ref = session.run(base, use_cache=False).stats
-        ker = session.run(kernel, use_cache=False).stats
-        _assert_same_stats(ref, ker, (workload, warmup, measure))
+def test_kernel_engine_matches_object_engine_through_session(corpus):
+    entries = golden_corpus.index(corpus, "session")
+    with tempfile.TemporaryDirectory() as scratch, \
+            Session(cache_dir=scratch) as session:
+        for seed in golden_corpus.SESSION_SEEDS:
+            entry = entries[(seed,)]
+            config = golden_corpus.session_config(seed)
+            assert config.to_dict() == entry["config"], seed
+            for allow_skip in (True, False):
+                golden_corpus.assert_matches(
+                    entry,
+                    golden_corpus.run_session(session, config, allow_skip),
+                    allow_skip)
 
 
 # ================================================================
-# batch execution over one shared predecode
+# predecode
 # ================================================================
-def test_simulate_batch_equals_independent_reference_runs():
-    from repro.api import default_session
-
-    trace = default_session().get_trace("lattice_milc", 600)
-    configs = [no_ltp(), proposed_ltp(),
-               proposed_ltp().but(entries=16, ports=2)]
-    arrays = predecode(trace)
-    batch = simulate_batch(
-        trace, ({"ltp": ltp} for ltp in configs), arrays=arrays)
-    singles = [Pipeline(trace, ltp=ltp).run() for ltp in configs]
-    for ltp, batched, single in zip(configs, batch, singles):
-        _assert_same_stats(single.as_dict(), batched.as_dict(),
-                           ("batch", ltp.entries, ltp.enabled))
-
-
-def test_simulate_batch_rejects_mismatched_arrays():
+def test_pipeline_rejects_mismatched_arrays():
     from repro.api import default_session
 
     trace = default_session().get_trace("stream_triad", 400)
     arrays = predecode(trace[:200])
     with pytest.raises(ValueError):
-        KernelPipeline(trace, arrays=arrays)
+        Pipeline(trace, arrays=arrays)
 
 
 # ================================================================
@@ -164,35 +118,52 @@ def test_session_arrays_invalidate_when_trace_grows(tmp_path):
 
 
 # ================================================================
-# cache-key and payload stability
+# the retired engine keyword
 # ================================================================
-def test_engine_field_keeps_default_payloads_and_keys_stable():
+def test_engine_field_keeps_default_payloads_and_keys_stable(tmp_path):
+    # the retired engine keyword is inert: never stored or hashed
     base = SimConfig(workload="lattice_milc")
-    assert "engine" not in base.to_dict()
-    kernel = SimConfig(workload="lattice_milc", engine="kernel")
-    assert kernel.to_dict()["engine"] == "kernel"
-    assert kernel.key() != base.key()
-    round_trip = SimConfig.from_dict(kernel.to_dict())
-    assert round_trip.engine == "kernel"
-    assert round_trip.key() == kernel.key()
-    assert SimConfig.from_dict(base.to_dict()).engine == "object"
+    assert KernelPipeline is Pipeline
+    for name in ("object", "kernel"):
+        config = SimConfig(workload="lattice_milc", engine=name)
+        assert config.key() == base.key()
+        assert "engine" not in config.to_dict()
+    # payloads written while the selector existed still load
+    payload = dict(base.to_dict(), engine="kernel")
+    assert SimConfig.from_dict(payload).key() == base.key()
+    # a store row written with an "engine": "kernel" config payload
+    row = {"schema": 1, "key": "0" * 24, "source": "simulated",
+           "cached": False, "backend": "serial", "wall_time_s": 0.5,
+           "config": payload, "stats": {"cycles": 10, "cpi": 1.0,
+                                        "ipc": 1.0}}
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with ResultStore(path) as store:
+        assert store.skipped_rows == 0
+        loaded = store.get("0" * 24)
+    assert isinstance(loaded, SimResult)
+    assert loaded.config.key() == base.key()
+
+
+def test_sweep_spec_engine_axis_and_id_stability():
+    # specs written while the selector existed still load, same id
+    spec = SweepSpec(workloads=["stream_triad"])
+    assert "engine" not in spec.to_dict()
+    old_spec = SweepSpec.from_dict(dict(spec.to_dict(), engine="kernel"))
+    assert old_spec.sweep_id() == spec.sweep_id()
+    # the sweep axis is gone, loudly
+    with pytest.raises(ValueError, match="removed"):
+        SweepSpec(workloads=["stream_triad"],
+                  axes={"engine": ["object", "kernel"]}).expand()
 
 
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         SimConfig(workload="lattice_milc", engine="vector").validate()
-
-
-def test_sweep_spec_engine_axis_and_id_stability():
-    from repro.api import SweepSpec
-
-    default = SweepSpec(workloads=["stream_triad"])
-    kernel = SweepSpec(workloads=["stream_triad"], engine="kernel")
-    assert default.sweep_id() != kernel.sweep_id()
-    assert "engine" not in default.to_dict()
-    axis = SweepSpec(workloads=["stream_triad"],
-                     axes={"engine": ["object", "kernel"]})
-    assert [c.engine for c in axis.expand()] == ["object", "kernel"]
-    round_trip = SweepSpec.from_dict(kernel.to_dict())
-    assert round_trip.engine == "kernel"
-    assert round_trip.sweep_id() == kernel.sweep_id()
+    payload = dict(SimConfig(workload="lattice_milc").to_dict(),
+                   engine="vector")
+    with pytest.raises(ValueError):
+        SimConfig.from_dict(payload)
+    with pytest.raises(ValueError):
+        SweepSpec.from_dict({"workloads": ["stream_triad"],
+                             "engine": "vector"})

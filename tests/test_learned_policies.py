@@ -1,9 +1,10 @@
 """The learned-policy subsystem: trainer, frozen artifacts, policies.
 
-The engine-level guarantees (object-vs-kernel bit-identity,
+The pipeline-level guarantees (golden-corpus bit-identity,
 skip-equivalence, conservation) for ``model-park`` /
 ``confidence-park`` / ``loadpred-park`` live in
-``test_policies_differential.py``; this file covers the offline layer:
+``test_policies_differential.py`` and ``test_kernel_differential.py``;
+this file covers the offline layer:
 training determinism, the frozen-artifact contract (validation,
 content hashing, clear failure modes), how a model payload threads
 through ``SimConfig`` and the cache key, and the ``repro train`` CLI.

@@ -97,7 +97,7 @@ def test_nr_and_nu_in_same_queue():
     pipeline, stats = run_with_ltp(trace, small_core(), ltp)
     assert stats.committed == len(trace)
     # both parking reasons observed
-    reasons = {r.park_reason for r in pipeline._scoreboard.values()
+    reasons = {r.park_reason for r in pipeline.records
                if r.park_reason}
     assert "non-urgent" in reasons
 

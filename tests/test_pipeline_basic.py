@@ -95,7 +95,7 @@ def test_store_then_load_forwarding():
         halt
     """
     pipeline, stats = run(asm)
-    load = next(r for r in pipeline._scoreboard.values()
+    load = next(r for r in pipeline.records
                 if r.dyn.is_load)
     assert load.mem_level == "forward"
     assert stats.committed == 6
@@ -109,7 +109,7 @@ def test_commit_is_in_order():
         halt
     """
     pipeline, stats = run(asm)
-    records = sorted(pipeline._scoreboard.values(), key=lambda r: r.seq)
+    records = sorted(pipeline.records, key=lambda r: r.seq)
     load, younger = records[1], records[2]
     assert younger.completion_cycle < load.completion_cycle
     # both committed (committed == 4) despite out-of-order completion

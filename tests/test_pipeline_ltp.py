@@ -189,15 +189,38 @@ def test_invariant_iq_never_waits_on_parked():
     policy = LTPPolicy(ltp, core.mem.dram_latency, controller=controller)
     pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
 
+    # records enter the IQ by dispatch at rename or by release from
+    # the LTP; wrap both policy hooks (the loop binds them at run start)
+    decide, release = policy.may_allocate, policy.release
+    dispatched = []
+    released = []
     violations = []
-    original_insert = pipeline.iq.insert
 
-    def checked_insert(record):
-        for producer in record.producer_records:
-            if producer is not None and producer.parked:
-                violations.append((record.seq, producer.seq))
-        original_insert(record)
+    def parked_producers(record):
+        return [producer.seq for producer in record.producer_records
+                if producer is not None and producer.parked]
 
-    pipeline.iq.insert = checked_insert
-    pipeline.run()
+    def checked_may_allocate(record, now, memdep_forced):
+        decision = decide(record, now, memdep_forced)
+        if decision == "dispatch":
+            dispatched.append((record, parked_producers(record)))
+        return decision
+
+    def checked_release(record):
+        released.append(record.seq)
+        violations.extend((record.seq, seq)
+                          for seq in parked_producers(record))
+        release(record)
+
+    policy.may_allocate = checked_may_allocate
+    policy.release = checked_release
+    stats = pipeline.run()
+    # only attempts that renamed dispatched (a stalled attempt's record
+    # is discarded and retried with a fresh one)
+    seq0 = trace[0].seq
+    entered = [(record, seqs) for record, seqs in dispatched
+               if pipeline.records[record.seq - seq0] is record]
+    violations.extend((record.seq, seq)
+                      for record, seqs in entered for seq in seqs)
+    assert entered and len(released) == stats.ltp_released > 0
     assert violations == []

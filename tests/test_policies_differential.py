@@ -20,12 +20,13 @@ nothing for the behaviors that existed before it:
    commits every instruction exactly once, respects structure
    capacities, drains its parking queue, and is invariant to
    idle-span jumping (strict vs. skip execution).
-4. **Kernel-engine bit-identity** — the columnar struct-of-arrays
-   engine (:class:`repro.core.kernel.KernelPipeline`) must reproduce
-   the reference pipeline's full ``SimStats.as_dict()`` over the same
-   grid, for the LTP policy, the baseline-stall policy, and the three
-   learned/adaptive policies (model-park via the committed frozen
-   artifact, confidence-park, loadpred-park).
+4. **Golden-corpus bit-identity** — the cycle loop must reproduce the
+   full ``SimStats.as_dict()`` the retired object-graph engine
+   recorded in ``tests/golden/engine_corpus.jsonl`` over the same
+   grid, in idle-skip and strict mode, for the LTP policy, the
+   baseline-stall policy, and the three learned/adaptive policies
+   (model-park via the committed frozen artifact, confidence-park,
+   loadpred-park).
 """
 
 import json
@@ -43,7 +44,7 @@ from repro.core.params import baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
-from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
+from repro.ltp.config import no_ltp, proposed_ltp
 from repro.ltp.controller import LTPController
 from repro.ltp.oracle import annotate_trace
 from repro.memory.hierarchy import MemoryHierarchy
@@ -51,6 +52,8 @@ from repro.policies import (LTPPolicy, build_policy, policy_names,
                             policy_needs_oracle)
 from repro.workloads import get_workload
 
+import golden_corpus
+from golden_corpus import GRID_LTP, GRID_WORKLOADS
 from test_properties_pipeline import random_core, random_program
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -173,17 +176,6 @@ def _policy_stats(policy, name, core, ltp, warmup, measure):
     return pipeline.run().equivalence_signature()
 
 
-GRID_WORKLOADS = ("lattice_milc", "ptrchase_astar", "stream_triad")
-GRID_LTP = (
-    ("off", no_ltp()),
-    ("proposed", proposed_ltp()),
-    ("proposed-16", proposed_ltp().but(entries=16, ports=2)),
-    ("limit-nrnu", limit_ltp("nr+nu").but(park_loads=False,
-                                          park_stores=False,
-                                          monitor="auto")),
-)
-
-
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
 @pytest.mark.parametrize("label,ltp", GRID_LTP, ids=[g[0] for g in GRID_LTP])
 def test_ltp_policy_bit_identical_to_legacy_wiring(workload, label, ltp):
@@ -264,55 +256,26 @@ def test_every_policy_skip_equivalent(seed):
 
 
 # ================================================================
-# 4. kernel engine == reference engine, full stats
+# 4. the cycle loop == the golden corpus, full stats
 # ================================================================
-def _engine_stats(engine_cls, policy_name, name, core, ltp,
-                  warmup, measure):
-    """One run through *engine_cls*, full ``as_dict`` statistics."""
-    total = warmup + measure
-    trace = default_session().get_trace(name, total)
-    workload = get_workload(name)
-    needs = (policy_needs_oracle(policy_name, ltp)
-             or ltp.classifier == "oracle" or ltp.ll_predictor == "oracle")
-    oracle = default_session().get_oracle(name, total, core, trace) if needs else None
-    warmup_slice = trace[:warmup]
-    hierarchy = MemoryHierarchy(core.mem)
-    warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
-                   warm_regions=workload.warm_regions)
-    bpred = GsharePredictor()
-    warm_branch_predictor(bpred, warmup_slice)
-    policy = build_policy(policy_name, ltp, core.mem.dram_latency,
-                          oracle=oracle)
-    policy.warm_from_trace(
-        warmup_slice,
-        oracle.long_latency[:warmup] if oracle is not None else None)
-    pipeline = engine_cls(trace[warmup:], params=core, ltp=ltp,
-                          policy=policy, hierarchy=hierarchy,
-                          branch_predictor=bpred)
-    return pipeline.run().as_dict()
-
-
-#: model-park exercises the committed frozen artifact (build_policy's
-#: default-artifact fallback), so this grid also proves the example
-#: model drives both engines identically.
-ENGINE_GRID_POLICIES = ("ltp", "baseline-stall", "model-park",
-                        "confidence-park", "loadpred-park")
+@pytest.fixture(scope="module")
+def grid_corpus():
+    return golden_corpus.index(golden_corpus.load_corpus(), "workloads")
 
 
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
 @pytest.mark.parametrize("label,ltp", GRID_LTP, ids=[g[0] for g in GRID_LTP])
-def test_kernel_engine_bit_identical_to_reference(workload, label, ltp):
-    """Every statistic the reference produces, the kernel reproduces."""
-    from repro.core.kernel import KernelPipeline
-    for policy_name in ENGINE_GRID_POLICIES:
-        ref = _engine_stats(Pipeline, policy_name, workload,
-                            ltp_params(), ltp, 500, 400)
-        ker = _engine_stats(KernelPipeline, policy_name, workload,
-                            ltp_params(), ltp, 500, 400)
-        mismatches = {key: (ref[key], ker.get(key))
-                      for key in ref if ref[key] != ker.get(key)}
-        assert set(ref) == set(ker), (workload, label, policy_name)
-        assert not mismatches, (workload, label, policy_name, mismatches)
+def test_kernel_engine_bit_identical_to_reference(grid_corpus, workload,
+                                                  label, ltp):
+    """Every statistic the corpus recorded, the loop reproduces."""
+    session = default_session()
+    for policy_name in golden_corpus.ENGINE_GRID_POLICIES:
+        entry = grid_corpus[(workload, label, policy_name)]
+        for allow_skip in (True, False):
+            golden_corpus.assert_matches(
+                entry, golden_corpus.run_workload(
+                    session, workload, ltp, policy_name, allow_skip),
+                allow_skip)
 
 
 def test_policies_skip_equivalent_on_real_workloads():

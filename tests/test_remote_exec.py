@@ -4,11 +4,13 @@ remote executor fault tolerance, and the subprocess acceptance proof
 
 import json
 import os
+import queue
 import socket
 import struct
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -258,3 +260,45 @@ def test_store_written_by_remote_sweep_round_trips(worker, tmp_path):
     assert rows[0]["record"] == "header"
     assert all(row.get("backend") == "remote"
                for row in rows[1:])
+
+
+def test_batch_outcome_landing_after_poll_timeout_is_not_dropped(
+        worker, tmp_path, monkeypatch):
+    """The simulation thread can post its last outcome and exit
+    between the connection thread's poll timeout and its liveness
+    check; that outcome must still be streamed, not reported as an
+    unanswered point (with one worker, that fails the sweep)."""
+    from repro.api.remote import worker as worker_module
+
+    class LateQueue:
+        """Times out once, after the simulation thread has exited."""
+
+        def __init__(self):
+            self._inner = queue.SimpleQueue()
+            self._late = True
+
+        def put(self, item):
+            self._inner.put(item)
+
+        def empty(self):
+            return self._inner.empty()
+
+        def get(self, timeout=None):
+            if self._late:
+                self._late = False
+                for thread in threading.enumerate():
+                    if thread.name == "repro-worker-sim":
+                        thread.join()
+                raise queue.Empty
+            return self._inner.get(timeout=timeout)
+
+    monkeypatch.setattr(worker_module, "queue_mod", types.SimpleNamespace(
+        SimpleQueue=LateQueue, Empty=queue.Empty))
+    spec = make_spec(2)
+    with Session(cache_dir=str(tmp_path / "s")) as session:
+        results = session.sweep(spec, use_cache=False,
+                                backend=RemoteExecutor([worker.address]))
+    assert [r.backend for r in results] == ["remote", "remote"]
+    with Session(cache_dir=str(tmp_path / "serial")) as session:
+        baseline = session.sweep(spec, use_cache=False)
+    assert [r.stats for r in results] == [r.stats for r in baseline]
