@@ -1,34 +1,38 @@
 #!/usr/bin/env python
-"""CI driver for sharded, resumable sweeps.
+"""CI checks for sharded, pooled, remote and resumable sweeps.
 
-Each CI matrix job runs one key-stable shard of the headline LTP sweep
-into its own result store; a final job merges the shard artifacts and
-proves the union is exactly — bit for bit — what an unsharded serial
-run produces, and that resuming from the merged store simulates
-nothing.  From the repo root::
+The sweeps themselves run through ``repro sweep``: each CI matrix job
+runs one key-stable shard of the headline LTP sweep into its own
+result store, a final job merges the shard stores and runs the whole
+sweep once more over a local worker pool.  This driver holds the
+checks that prove every form agrees bit for bit, plus the drives that
+need a spawned fleet.  From the repo root::
 
-    python scripts/ci_sweep.py run    --shard 0/4 --store stores/shard0.jsonl
-    python scripts/ci_sweep.py merge  --store merged.jsonl stores/*.jsonl
+    PYTHONPATH=src python -m repro sweep ltp-queues --shard 0/4 \\
+        --store stores/shard0.jsonl          # ... one per shard
+    PYTHONPATH=src python -m repro sweep --merge stores/*.jsonl \\
+        --store merged.jsonl
+    PYTHONPATH=src python -m repro sweep ltp-queues --jobs 4 \\
+        --store pooled.jsonl
+    python scripts/ci_sweep.py compare merged.jsonl pooled.jsonl
     python scripts/ci_sweep.py verify --store merged.jsonl
     python scripts/ci_sweep.py check-resume --store merged.jsonl
-    python scripts/ci_sweep.py coordinate --shards 4 --jobs 4 \\
-        --store coordinated.jsonl
-    python scripts/ci_sweep.py compare merged.jsonl coordinated.jsonl
     python scripts/ci_sweep.py remote --workers 2 --kill-one \\
         --store remote.jsonl
     python scripts/ci_sweep.py daemon --workers 2 --store client.jsonl \\
         --daemon-store daemon.jsonl
     python scripts/ci_sweep.py inspect-check --report inspect.json
 
-``coordinate`` drives every shard from one process (the
-``repro sweep --coordinate`` engine); ``compare`` asserts two stores
-are bit-for-bit interchangeable (same sweep, same keys, identical
-statistics) — CI uses it to prove the coordinated store equals the
-k-invocation shard union.  ``remote`` spawns a real ``repro worker``
-fleet as subprocesses and runs the sweep through ``--executor
-remote`` (``--kill-one`` murders a worker after the first landed
-point, proving retry-on-survivors); ``daemon`` spawns a fleet plus a
-``repro serve`` daemon and submits the sweep as a client.
+``compare`` asserts two stores are bit-for-bit interchangeable (same
+sweep, same keys, identical statistics); ``verify`` checks a store
+point by point against a fresh serial run in an isolated cache;
+``check-resume`` asserts resuming from a complete store simulates
+nothing.  ``remote`` spawns a real ``repro worker`` fleet as
+subprocesses and runs the sweep through ``--executor remote``
+(``--kill-one`` murders a worker after the first landed point,
+proving retry-on-survivors; ``--batch-size`` caps the trace-shared
+``run_batch`` frames); ``daemon`` spawns a fleet plus a ``repro
+serve`` daemon and submits the sweep as a client.
 
 ``inspect-check`` is the anomaly-injection gate for the online sweep
 QA (:mod:`repro.api.inspect`): it drives the sweep through a
@@ -40,15 +44,10 @@ re-simulates exactly the quarantined keys and lands bit-identical to
 a clean run.
 
 ``--preset``/``--spec``, ``--warmup`` and ``--measure`` select the
-sweep; every subcommand must be given the same values (the store binds
-the spec's ``sweep_id`` and refuses a mismatch).  The driver is plain
-:mod:`repro.api` — anything it does can be scripted directly.
-
-``run``, ``coordinate`` and ``remote`` take ``--batch-size``: the cap
-on how many trace-identical points execute as one trace-shared batch
-(``1`` disables batching).  CI's batched-equivalence job runs the same
-sweep batched and unbatched and ``compare``\\ s the stores, proving
-batching is a pure optimisation.
+sweep; every subcommand (and every ``repro sweep`` run it checks) must
+be given the same values (the store binds the spec's ``sweep_id`` and
+refuses a mismatch).  The driver is plain :mod:`repro.api` — anything
+it does can be scripted directly.
 """
 
 from __future__ import annotations
@@ -68,9 +67,8 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from repro.api import (CoordinatorBackend, MockExecutor,  # noqa: E402
-                       ResultStore, Session, SweepInspector, SweepSpec,
-                       backend_for_jobs, merge_stores, parse_shard)
+from repro.api import (MockExecutor, ResultStore, Session,  # noqa: E402
+                       SweepInspector, SweepSpec)
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
 
 
@@ -90,37 +88,6 @@ def add_spec_options(parser: argparse.ArgumentParser) -> None:
                         help="warmup instruction budget per point")
     parser.add_argument("--measure", type=int, default=None,
                         help="measured instruction budget per point")
-
-
-def cmd_run(args) -> int:
-    spec = build_spec(args)
-    shard = parse_shard(args.shard) if args.shard else None
-    backend = backend_for_jobs(args.jobs, batch_size=args.batch_size)
-    with Session() as session, ResultStore(args.store) as store:
-        results = session.sweep(spec, backend=backend,
-                                store=store, shard=shard)
-    simulated = sum(1 for r in results if not r.cached)
-    label = f"shard {args.shard}" if args.shard else "unsharded"
-    print(f"sweep {spec.sweep_id()} {label}: {len(results)} points, "
-          f"{simulated} simulated -> {args.store}")
-    return 0
-
-
-def cmd_coordinate(args) -> int:
-    """Run every shard of the sweep from this one process."""
-    spec = build_spec(args)
-    coordinator = CoordinatorBackend(shards=args.shards, jobs=args.jobs,
-                                     batch_size=args.batch_size)
-    with Session() as session, ResultStore(args.store) as store:
-        results = coordinator.run(session, spec, store=store)
-    simulated = sum(1 for r in results if not r.cached)
-    report = coordinator.last_report
-    print(f"sweep {spec.sweep_id()} coordinated over "
-          f"{report['shards']} shard(s) "
-          f"({'/'.join(str(n) for n in report['per_shard'])} points): "
-          f"{len(results)} points, {simulated} simulated -> "
-          f"{args.store}")
-    return 0
 
 
 def cmd_compare(args) -> int:
@@ -148,13 +115,6 @@ def cmd_compare(args) -> int:
         return 1
     print(f"compare OK: {len(left_rows)} points bit-identical "
           f"across {args.left} and {args.right}")
-    return 0
-
-
-def cmd_merge(args) -> int:
-    with merge_stores(args.store, args.sources) as merged:
-        print(f"merged {len(args.sources)} store(s) into {args.store}: "
-              f"{len(merged)} points, sweep {merged.sweep_id}")
     return 0
 
 
@@ -510,33 +470,8 @@ def cmd_check_resume(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Sharded/resumable sweep driver for CI")
+        description="Store checks and fleet drives for the sweep CI")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one shard into a store")
-    add_spec_options(run_p)
-    run_p.add_argument("--shard", default=None, metavar="I/K")
-    run_p.add_argument("--store", type=Path, required=True)
-    run_p.add_argument("--jobs", "-j", type=int, default=1)
-    run_p.add_argument("--batch-size", type=int, default=None,
-                       metavar="N",
-                       help="cap on trace-identical points executed "
-                            "as one batch (1 disables batching)")
-    run_p.set_defaults(func=cmd_run)
-
-    coord_p = sub.add_parser(
-        "coordinate",
-        help="drive every shard from one process into a store")
-    add_spec_options(coord_p)
-    coord_p.add_argument("--shards", type=int, default=4)
-    coord_p.add_argument("--store", type=Path, required=True)
-    coord_p.add_argument("--jobs", "-j", type=int, default=None)
-    coord_p.add_argument("--batch-size", type=int, default=None,
-                         metavar="N",
-                         help="cap on trace-identical points executed "
-                              "as one batch (1 disables batching; "
-                              "batches never span shards)")
-    coord_p.set_defaults(func=cmd_coordinate)
 
     compare_p = sub.add_parser(
         "compare",
@@ -544,11 +479,6 @@ def main(argv=None) -> int:
     compare_p.add_argument("left", type=Path)
     compare_p.add_argument("right", type=Path)
     compare_p.set_defaults(func=cmd_compare)
-
-    merge_p = sub.add_parser("merge", help="merge shard stores")
-    merge_p.add_argument("sources", nargs="+", type=Path)
-    merge_p.add_argument("--store", type=Path, required=True)
-    merge_p.set_defaults(func=cmd_merge)
 
     verify_p = sub.add_parser(
         "verify", help="compare a store against an unsharded serial run")

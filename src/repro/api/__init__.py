@@ -15,12 +15,11 @@ The API layer is organised around four ideas:
   ``as_completed()``, lifecycle events, bounded retries, graceful
   cancellation.  Concrete executors live in a registry
   (:mod:`repro.api.executors`) and are selectable **by name** —
-  ``"serial"``, ``"process-pool"``, ``"coordinator"``, ``"remote"``,
-  ``"mock"`` — from :class:`Session`, :class:`SweepSpec` or the CLI's
-  ``--executor`` flag; :func:`build_executor` constructs one and
-  :func:`backend_for_jobs` applies the ``--jobs N`` rule.
-  :class:`CoordinatorBackend` drives every shard of a sweep from one
-  process (``Session.coordinate`` / ``repro sweep --coordinate``).
+  ``"serial"``, ``"process-pool"``, ``"remote"``, ``"mock"`` — from
+  :class:`Session`, :class:`SweepSpec` or the CLI's ``--executor``
+  flag; :func:`build_executor` constructs one and
+  :func:`backend_for_jobs` applies the ``--jobs N`` rule (a whole
+  sweep over a local worker pool is ``repro sweep --jobs N``).
 * Remote execution — :mod:`repro.api.remote`: ``repro worker``
   processes (:class:`WorkerServer`) simulate configs sent over
   length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
@@ -40,7 +39,7 @@ The API layer is organised around four ideas:
   lifecycle-event stream, and persists confirmed anomalies as
   :class:`Annotation` rows that quarantine their key — a resumed
   sweep re-simulates exactly the quarantined points.  Enabled with
-  ``Session.run_many/sweep/coordinate(inspect=True)``.
+  ``Session.run_many/sweep(inspect=True)``.
 * Allocation policies — :mod:`repro.policies` owns *when* resources
   are claimed; ``SimConfig(policy=...)`` / a ``"policy"`` sweep axis
   selects a registered policy (:func:`policy_names`).
@@ -56,10 +55,9 @@ Quick start::
             print(result.config.core.iq_size, result.cpi)
 """
 
-from repro.api.exec import (CoordinatorBackend, ExecEvent,
-                            ExecutionCancelled, ExecutorBackend,
-                            PoolExecutor, SerialExecutor, SimFuture,
-                            WorkerFailure, as_executor)
+from repro.api.exec import (ExecEvent, ExecutionCancelled,
+                            ExecutorBackend, PoolExecutor, SerialExecutor,
+                            SimFuture, WorkerFailure, as_executor)
 from repro.api.executors import (backend_for_jobs, build_executor,
                                  executor_descriptions, executor_names)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
@@ -82,7 +80,6 @@ from repro.policies import (DEFAULT_POLICY, AllocationPolicy, build_policy,
 __all__ = [
     "AllocationPolicy",
     "Annotation",
-    "CoordinatorBackend",
     "DEFAULT_POLICY",
     "ExecEvent",
     "Experiment",

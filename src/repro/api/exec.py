@@ -1,4 +1,4 @@
-"""Futures-based execution: submission, lifecycle events, coordination.
+"""Futures-based execution: submission, lifecycle events, batching.
 
 This module is the execution layer.  Every executor implements one
 submission protocol, so execution is decomposed into observable,
@@ -6,7 +6,7 @@ controllable pieces:
 
 * :class:`SimFuture` — one submitted configuration's pending outcome:
   ``result()`` / ``exception()`` / ``cancel()`` / ``done()``, carrying
-  provenance (config, cache key, batch index, shard tag, attempts).
+  provenance (config, cache key, batch index, attempts).
 * :class:`ExecutorBackend` — the submission surface every executor
   implements: ``submit(item) -> SimFuture`` plus ``as_completed()``,
   progress callbacks receiving structured :class:`ExecEvent` lifecycle
@@ -19,19 +19,17 @@ controllable pieces:
   ``multiprocessing`` implementations, registered as ``"serial"`` and
   ``"process-pool"``.  Both dispatch
   :class:`BatchWorkItem`\\ s: queued futures sharing one trace
-  identity (workload + total trace length + cache policy + shard) are
+  identity (workload + total trace length + cache policy) are
   grouped so each dispatch pays one trace generation, one workload
   build and one columnar predecode for the whole group (the
   :class:`~repro.api.session.BatchRunner` amortization).  ``batch_size``
   caps the group.
-* :class:`CoordinatorBackend` — expands a
-  :class:`~repro.api.spec.SweepSpec`, partitions it with
-  :meth:`~repro.api.spec.SweepSpec.shard`'s key-stable rule, and
-  drives *all* shards
-  from one process over a worker pool, streaming every landed outcome
-  into a bound :class:`~repro.api.store.ResultStore` — the
-  ``repro sweep --coordinate`` engine that replaces *k* separate CLI
-  invocations.
+
+A whole sweep runs in one process through ``Session.sweep`` /
+``run_many`` with any of these executors (``repro sweep --jobs N
+--store S`` uses the pool); splitting a sweep across machines is
+:meth:`~repro.api.spec.SweepSpec.shard` plus
+:func:`~repro.api.store.merge_stores`, above this layer.
 
 Event-delivery guarantees: every submitted item emits ``submitted``
 once, ``started`` once (its first dispatch), then either ``finished``
@@ -59,8 +57,6 @@ from repro.api.result import SimResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
-    from repro.api.spec import SweepSpec
-    from repro.api.store import ResultStore
     from repro.harness.config import SimConfig
 
 #: a unit of pending work: position in the batch, config, cache policy
@@ -101,8 +97,6 @@ class ExecEvent:
     index: int
     #: 1-based attempt number at the time of the event (0 = not started)
     attempt: int = 0
-    #: coordinator shard tag, when the submission was shard-partitioned
-    shard: Optional[int] = None
     #: result provenance, on ``finished`` events
     source: Optional[str] = None
     wall_time_s: Optional[float] = None
@@ -115,7 +109,7 @@ class ExecEvent:
                                    "workload": self.workload,
                                    "index": self.index,
                                    "attempt": self.attempt}
-        for name in ("shard", "source", "wall_time_s", "error"):
+        for name in ("source", "wall_time_s", "error"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -167,13 +161,10 @@ class SimFuture:
     in :meth:`result` from another thread.
     """
 
-    def __init__(self, executor: "ExecutorBackend", item: WorkItem,
-                 shard: Optional[int] = None) -> None:
+    def __init__(self, executor: "ExecutorBackend", item: WorkItem) -> None:
         self.index, self.config, self.use_cache = item
         #: the configuration's stable cache key (provenance)
         self.key = self.config.key()
-        #: coordinator shard tag (``None`` outside coordinated runs)
-        self.shard = shard
         #: attempts dispatched so far (grows on retries)
         self.attempts = 0
         self._executor = executor
@@ -288,17 +279,16 @@ class SimFuture:
 # ----------------------------------------------------------------------
 # trace-shared batches
 # ----------------------------------------------------------------------
-def _batch_key(future: SimFuture) -> Tuple[Optional[int], str, int, bool]:
+def _batch_key(future: SimFuture) -> Tuple[str, int, bool]:
     """The grouping identity for trace-shared batching.
 
-    Futures batch together when they share a coordinator shard, a
-    workload, a total trace length (``warmup + measure``) and a cache
-    policy — exactly the inputs one trace generation + one predecode
-    can serve.
+    Futures batch together when they share a workload, a total trace
+    length (``warmup + measure``) and a cache policy — exactly the
+    inputs one trace generation + one predecode can serve.
     """
     config = future.config
-    return (future.shard, config.workload,
-            config.warmup + config.measure, future.use_cache)
+    return (config.workload, config.warmup + config.measure,
+            future.use_cache)
 
 
 @dataclass
@@ -329,10 +319,6 @@ class BatchWorkItem:
     @property
     def use_cache(self) -> bool:
         return self.futures[0].use_cache
-
-    @property
-    def shard(self) -> Optional[int]:
-        return self.futures[0].shard
 
 
 # ----------------------------------------------------------------------
@@ -477,19 +463,18 @@ class ExecutorBackend:
         event = ExecEvent(kind=kind, key=future.key,
                           workload=future.config.workload,
                           index=future.index, attempt=future.attempts,
-                          shard=future.shard, **extra)
+                          **extra)
         for callback in list(self._callbacks):
             callback(event)
 
     # -- submission ------------------------------------------------------
-    def submit(self, item: WorkItem,
-               shard: Optional[int] = None) -> SimFuture:
+    def submit(self, item: WorkItem) -> SimFuture:
         """Queue one work item; returns its :class:`SimFuture`.
 
         Execution happens while :meth:`as_completed` is iterated —
         ``submit`` never blocks on simulation.
         """
-        future = SimFuture(self, item, shard=shard)
+        future = SimFuture(self, item)
         self._queue.append(future)
         self._emit(EVENT_SUBMITTED, future)
         return future
@@ -856,20 +841,6 @@ class PoolExecutor(ExecutorBackend):
                 f"batch_size={self.batch_size!r})")
 
 
-@register_executor("coordinator",
-                   options=("jobs", "max_retries", "batch_size"))
-class CoordinatorExecutor(PoolExecutor):
-    """The worker pool a coordinated sweep drives (shard-tagged).
-
-    Behaviourally a :class:`PoolExecutor`; registered under its own
-    name so ``--executor coordinator`` selects coordinated execution
-    by name, the conformance suite covers the coordinator's executor,
-    and results record which mode produced them.
-    """
-
-    name = "coordinator"
-
-
 def as_executor(backend: Any) -> ExecutorBackend:
     """Check that *backend* implements the submission protocol.
 
@@ -882,114 +853,3 @@ def as_executor(backend: Any) -> ExecutorBackend:
         f"{backend!r} is not an execution backend (need the "
         f"ExecutorBackend submission protocol: submit() and "
         f"as_completed())")
-
-
-# ----------------------------------------------------------------------
-# the sharded-sweep coordinator
-# ----------------------------------------------------------------------
-class CoordinatorBackend:
-    """Drive every shard of a sweep from one process.
-
-    Expands a :class:`~repro.api.spec.SweepSpec`, partitions the
-    product with :meth:`~repro.api.spec.SweepSpec.shard`'s key-stable
-    rule (:func:`~repro.api.spec.shard_of` on each config's cache
-    key), and submits all shards —
-    tagged, shard-major — to one futures executor over a worker pool,
-    streaming each landed outcome into the bound
-    :class:`~repro.api.store.ResultStore` as it completes.  The
-    replacement for *k* separate ``repro sweep --shard i/k``
-    invocations: identical partitioning, identical results (the store
-    is bit-for-bit what a serial run or a k-invocation shard union
-    produces), one process, live progress, crash-resume preserved
-    (stored points are served, never re-simulated).
-
-    Parameters
-    ----------
-    shards:
-        Partition count *k* (``None`` = the executor's worker count).
-    jobs / batch_size / max_retries:
-        Forwarded to the default :class:`PoolExecutor` when no
-        *executor* is supplied.  Sharding stays key-stable under
-        batching: the partition is computed per config key first, and
-        each shard's points then re-group into their own
-        :class:`BatchWorkItem`\\ s (batches never span shards).
-    executor:
-        An explicit :class:`ExecutorBackend` to drive instead.
-    """
-
-    name = "coordinator"
-
-    def __init__(self, shards: Optional[int] = None,
-                 jobs: Optional[int] = None,
-                 max_retries: int = 1,
-                 executor: Optional[ExecutorBackend] = None,
-                 batch_size: Optional[int] = None) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shard count must be >= 1")
-        self.shards = shards
-        self.jobs = jobs
-        self.batch_size = batch_size
-        self.max_retries = max_retries
-        self.executor = executor
-        #: counts of the last run, for reporting ({"shards", "points",
-        #: "per_shard"})
-        self.last_report: Dict[str, Any] = {}
-
-    def _build_executor(self) -> ExecutorBackend:
-        if self.executor is not None:
-            return self.executor
-        from repro.api.executors import build_executor
-        return build_executor("coordinator", jobs=self.jobs,
-                              batch_size=self.batch_size,
-                              max_retries=self.max_retries)
-
-    def run(self, session: "Session", spec: "SweepSpec",
-            store: Optional["ResultStore"] = None,
-            use_cache: bool = True,
-            progress: Optional[ProgressCallback] = None,
-            inspect: Any = None,
-            ) -> List[SimResult]:
-        """Run the whole sweep; results in :meth:`SweepSpec.expand` order.
-
-        With a *store*, stored points are served without simulating
-        (crash-resume) and every fresh outcome is appended as it lands;
-        the store is bound to the spec's ``sweep_id`` up front so a
-        resume against the wrong spec fails fast.  *inspect* enables
-        online QA over the coordinated drive
-        (:class:`~repro.api.inspect.SweepInspector`); shard tags on
-        the lifecycle events give the inspector its per-shard
-        throughput and dead-shard view.
-        """
-        executor = self._build_executor()
-        resolved_jobs = getattr(executor, "_resolved_jobs", lambda: 1)()
-        count = self.shards if self.shards is not None \
-            else max(1, resolved_jobs)
-
-        configs = spec.expand()
-        if store is not None:
-            store.bind(spec.sweep_id()).touch()
-
-        # one expansion, partitioned with SweepSpec.shard's key-stable
-        # rule (shard_of on each config's cache key): identical
-        # membership and in-shard order to k spec.shard(i, k) calls,
-        # without re-expanding (and re-hashing) the product k times
-        from repro.api.spec import shard_of
-        buckets: List[List[int]] = [[] for _ in range(count)]
-        for index, config in enumerate(configs):
-            buckets[shard_of(config.key(), count)].append(index)
-        submission: List[Tuple[int, Optional[int]]] = [
-            (index, shard_index)
-            for shard_index, bucket in enumerate(buckets)
-            for index in bucket]
-        self.last_report = {"shards": count, "points": len(configs),
-                            "per_shard": [len(bucket)
-                                          for bucket in buckets]}
-        from repro.api.inspect import as_inspector
-        return session._drive(executor, configs, submission,
-                              use_cache=use_cache, store=store,
-                              progress=progress,
-                              inspect=as_inspector(inspect, store))
-
-    def __repr__(self) -> str:
-        return (f"CoordinatorBackend(shards={self.shards!r}, "
-                f"jobs={self.jobs!r})")

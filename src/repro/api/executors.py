@@ -10,9 +10,9 @@ mirroring :mod:`repro.policies.registry`::
 A name then selects the executor end to end — ``Session(backend=
 "serial")``, ``SweepSpec(executor="remote")``, ``repro sweep
 --executor NAME`` — without any layer hard-coding the list.  The
-built-ins (``serial``, ``process-pool``, ``coordinator``, ``remote``,
-``mock``) are imported lazily the first time the registry is queried,
-so module import order never matters.
+built-ins (``serial``, ``process-pool``, ``remote``, ``mock``) are
+imported lazily the first time the registry is queried, so module
+import order never matters.
 
 Each registration names the constructor *options* it accepts;
 :func:`executor_from_options` maps the CLI's ``--jobs`` /

@@ -188,16 +188,14 @@ class Session:
     # ------------------------------------------------------------------
     # memoised inputs
     # ------------------------------------------------------------------
-    def get_trace(self, workload_name: str, length: int,
-                  factory: Optional[Callable[[str], Any]] = None,
-                  ) -> List[DynInst]:
+    def get_trace(self, workload_name: str, length: int) -> List[DynInst]:
         """Build (and memoise) the first *length* instructions.
 
         Only the longest trace per workload is retained; shorter
         requests return a slice of it, so distinct sweep lengths never
         pile up duplicate copies in memory.
         """
-        factory = factory or self._workload_factory
+        factory = self._workload_factory
         trace_cache = self._trace_cache
         cached = trace_cache.get(workload_name)
         if cached is not None:
@@ -220,8 +218,7 @@ class Session:
             return full
         return full[:length]
 
-    def get_trace_arrays(self, workload_name: str, length: int,
-                         factory: Optional[Callable[[str], Any]] = None):
+    def get_trace_arrays(self, workload_name: str, length: int):
         """Columnar predecode of the first *length* instructions.
 
         The cycle loop's :class:`~repro.core.kernel.TraceArrays` for
@@ -233,7 +230,7 @@ class Session:
         by ``trace_cache_size`` like the trace cache it shadows.
         """
         from repro.core.kernel import predecode
-        self.get_trace(workload_name, length, factory)
+        self.get_trace(workload_name, length)
         full = self._trace_cache[workload_name][1]
         arrays_cache = self._arrays_cache
         arrays = arrays_cache.get(workload_name)
@@ -248,11 +245,8 @@ class Session:
         return arrays.window(0, length)
 
     def get_oracle(self, workload_name: str, length: int, core: CoreParams,
-                   trace: List[DynInst],
-                   factory: Optional[Callable[[str], Any]] = None,
-                   ) -> OracleInfo:
+                   trace: List[DynInst]) -> OracleInfo:
         """Oracle annotation over the full trace (cached, LRU-bounded)."""
-        factory = factory or self._workload_factory
         window = min(cap(core.rob_size), 4096)
         mem = core.mem
         mem_key = (f"{mem.l1d_size}/{mem.l2_size}/{mem.l3_size}/"
@@ -261,7 +255,7 @@ class Session:
         oracle_cache = self._oracle_cache
         oracle = oracle_cache.get(key)
         if oracle is None:
-            workload = factory(workload_name)
+            workload = self._workload_factory(workload_name)
             oracle = annotate_trace(trace, mem, window=window,
                                     warm_regions=workload.warm_regions)
             oracle_cache[key] = oracle
@@ -302,27 +296,7 @@ class Session:
         """
         return BatchRunner(self, workload, length)
 
-    def run_batch(self, configs: List[SimConfig],
-                  use_cache: bool = True) -> List[SimResult]:
-        """Run a trace-homogeneous batch of configurations in order.
-
-        Every config must share one workload and one total trace
-        length (``warmup + measure``); a :class:`BatchRunner` amortizes
-        trace generation and predecode across them.  Each point is
-        otherwise identical to :meth:`run` — same cache lookups, same
-        result shape — so the outputs are bit-identical to running the
-        configs one at a time.
-        """
-        if not configs:
-            return []
-        first = configs[0]
-        runner = self.batch_runner(first.workload,
-                                   first.warmup + first.measure)
-        return [runner.run(config, use_cache=use_cache)
-                for config in configs]
-
     def _drive(self, backend: Any, config_list: List[SimConfig],
-               submission: Iterable[Tuple[int, Optional[int]]],
                use_cache: bool = True,
                store: Optional["ResultStore"] = None,
                progress: Optional[ProgressCallback] = None,
@@ -330,8 +304,7 @@ class Session:
                ) -> List[SimResult]:
         """Resolve cache/store hits and drive the rest as futures.
 
-        *submission* names the batch indices to cover, in submission
-        order, each with an optional coordinator shard tag.  Cached
+        Configurations are covered in list order.  Cached
         configurations are resolved in-process; each distinct
         remaining configuration is submitted exactly once (duplicates
         share the primary's result object, so provenance — one
@@ -360,18 +333,16 @@ class Session:
             executor.add_progress_callback(inspect)
             if progress is not None:
                 inspect.add_sink(progress)
-        submission = list(submission)
         # validate everything before anything is submitted: a bad
         # config must not leave earlier items queued on the (shared)
         # executor for an unrelated later batch to execute
-        for index, _ in submission:
-            config_list[index].validate()
+        for config in config_list:
+            config.validate()
         try:
             results: Dict[int, SimResult] = {}
             primary: Dict[str, int] = {}  # key -> index that simulates it
             duplicates: List[Tuple[int, str]] = []
-            for index, shard_tag in submission:
-                config = config_list[index]
+            for index, config in enumerate(config_list):
                 key = config.key()
                 quarantined = store is not None and store.quarantined(key)
                 stored = (store.get(key)
@@ -401,8 +372,7 @@ class Session:
                     duplicates.append((index, key))
                 else:
                     primary[key] = index
-                    executor.submit((index, config, use_cache),
-                                    shard=shard_tag)
+                    executor.submit((index, config, use_cache))
 
             failure: Optional[BaseException] = None
             cancelled = 0
@@ -495,12 +465,8 @@ class Session:
         re-simulated instead of served.
         """
         from repro.api.inspect import as_inspector
-        config_list = list(configs)
         return self._drive(_as_backend(backend) or self.backend,
-                           config_list,
-                           [(index, None)
-                            for index in range(len(config_list))],
-                           use_cache=use_cache, store=store,
+                           list(configs), use_cache=use_cache, store=store,
                            progress=progress,
                            inspect=as_inspector(inspect, store))
 
@@ -543,35 +509,6 @@ class Session:
         return self.run_many(configs, use_cache=use_cache,
                              backend=backend, store=store,
                              progress=progress, inspect=inspect)
-
-    def coordinate(self, spec: "SweepSpec",
-                   store: Optional["ResultStore"] = None,
-                   shards: Optional[int] = None,
-                   jobs: Optional[int] = None,
-                   batch_size: Optional[int] = None,
-                   use_cache: bool = True,
-                   progress: Optional[ProgressCallback] = None,
-                   executor: Optional[ExecutorBackend] = None,
-                   inspect: Any = None,
-                   ) -> List[SimResult]:
-        """Run every shard of *spec* from this one process.
-
-        The :class:`~repro.api.exec.CoordinatorBackend` entry point:
-        the sweep is partitioned with the same key-stable
-        :meth:`~repro.api.spec.SweepSpec.shard` rule *k* separate
-        ``--shard i/k`` invocations would use, all shards are driven
-        over one worker pool, and each landed outcome streams into
-        *store* (crash-resume preserved).  Results come back in
-        :meth:`~repro.api.spec.SweepSpec.expand` order, identical to a
-        serial run.
-        """
-        from repro.api.exec import CoordinatorBackend
-        coordinator = CoordinatorBackend(shards=shards, jobs=jobs,
-                                         batch_size=batch_size,
-                                         executor=executor)
-        return coordinator.run(self, spec, store=store,
-                               use_cache=use_cache, progress=progress,
-                               inspect=inspect)
 
     # ------------------------------------------------------------------
     # the simulation itself

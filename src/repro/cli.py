@@ -18,15 +18,14 @@ Commands:
   registered experiments).
 * ``sweep SPEC`` — run a declarative sweep (a ``SweepSpec`` JSON file
   or a named preset; ``--list-presets`` enumerates the presets) with
-  optional key-stable sharding (``--shard i/k``), a durable result
-  store (``--store``), resume (``--resume``), store merging
-  (``--merge``), live progress (``--progress``; with ``--json`` the
-  document carries the full lifecycle-event log), and ``--coordinate``
-  — drive *all* ``--shards K`` partitions from this one process over
-  a worker pool instead of launching K CLI invocations.  Execution is
-  selected by registered executor name (``--executor`` +
-  ``--workers`` for the TCP fleet) or submitted to a sweep daemon
-  (``--daemon HOST:PORT``).
+  a durable result store (``--store``), resume (``--resume``), live
+  progress (``--progress``; with ``--json`` the document carries the
+  full lifecycle-event log), and a local worker pool (``--jobs N``).
+  Splitting a sweep across machines is key-stable sharding
+  (``--shard i/k``, one invocation per partition) plus store merging
+  (``--merge``).  Execution is selected by registered executor name
+  (``--executor`` + ``--workers`` for the TCP fleet) or submitted to a
+  sweep daemon (``--daemon HOST:PORT``).
 * ``worker`` — serve simulations over TCP: accepts serialized
   configurations from ``--executor remote`` dispatchers (or a sweep
   daemon's fleet) and answers with results, heartbeating during long
@@ -65,12 +64,11 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import (CoordinatorBackend, ResultStore, Session,
-                       SweepDaemon, SweepInspector, SweepSpec,
-                       WorkerServer, backend_for_jobs, default_session,
-                       executor_names, experiment_names, get_experiment,
-                       ltp_preset, ltp_preset_names, merge_stores,
-                       parse_shard, submit_sweep, summarize)
+from repro.api import (ResultStore, Session, SweepDaemon, SweepInspector,
+                       SweepSpec, WorkerServer, backend_for_jobs,
+                       default_session, executor_names, experiment_names,
+                       get_experiment, ltp_preset, ltp_preset_names,
+                       merge_stores, parse_shard, submit_sweep, summarize)
 from repro.api.executors import executor_from_options
 from repro.api.remote.protocol import format_address, parse_address
 from repro.core.params import baseline_params, ltp_params
@@ -207,14 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SRC",
                          help="merge these stores into --store instead "
                               "of running a sweep")
-    sweep_p.add_argument("--coordinate", action="store_true",
-                         help="drive every shard of the sweep from "
-                              "this process over a worker pool "
-                              "(replaces K separate --shard i/K "
-                              "invocations)")
-    sweep_p.add_argument("--shards", type=int, default=None, metavar="K",
-                         help="partition count for --coordinate "
-                              "(default: the worker count)")
     sweep_p.add_argument("--jobs", "-j", type=int, default=1,
                          help="worker processes for the sweep "
                               "(default 1 = the serial executor; "
@@ -463,8 +453,6 @@ class _ProgressReporter:
     event (finished/failed/cancelled/anomaly) so logs stay readable
     instead of a wall of carriage returns.  Cache/store hits never
     reach the executor, so the denominator is the *submitted* count.
-    Shard-tagged events (``--coordinate``) accumulate per-shard
-    throughput, reported by :meth:`close`.
     """
 
     def __init__(self, stream=None, clock=time.monotonic) -> None:
@@ -477,8 +465,6 @@ class _ProgressReporter:
                        "retried": 0, "cancelled": 0, "anomaly": 0}
         #: "check: detail" per anomaly event, in arrival order
         self.anomalies: List[str] = []
-        #: shard -> [finished, first event clock, last event clock]
-        self.shards: dict = {}
         self._t0: Optional[float] = None
 
     def _eta(self, done: int) -> Optional[float]:
@@ -497,11 +483,6 @@ class _ProgressReporter:
             self.counts[event.kind] += 1
         if event.kind == "anomaly":
             self.anomalies.append(event.error or event.key)
-        if event.shard is not None:
-            shard = self.shards.setdefault(event.shard, [0, now, now])
-            shard[2] = now
-            if event.kind == "finished":
-                shard[0] += 1
         if self.stream is None:
             return
         counts = self.counts
@@ -531,15 +512,6 @@ class _ProgressReporter:
             return
         if self.live:
             print(file=self.stream)
-        if self.shards:
-            parts = []
-            for shard in sorted(self.shards):
-                finished, first, last = self.shards[shard]
-                rate = (f"{finished / (last - first):.1f}/s"
-                        if finished and last > first else f"{finished}")
-                parts.append(f"s{shard}:{rate}")
-            print(f"shard throughput: {' '.join(parts)}",
-                  file=self.stream)
         if self.anomalies and self.live:
             # plain mode already printed each anomaly as it fired
             for note in self.anomalies:
@@ -548,7 +520,6 @@ class _ProgressReporter:
 
 def _sweep_document(spec: SweepSpec, results, args,
                     reporter: Optional[_ProgressReporter] = None,
-                    coordinator: Optional[CoordinatorBackend] = None,
                     inspector: Optional[SweepInspector] = None,
                     ) -> dict:
     counts = {
@@ -567,8 +538,6 @@ def _sweep_document(spec: SweepSpec, results, args,
         "summary": summarize(results),
         "results": [r.to_dict() for r in results],
     }
-    if coordinator is not None:
-        document["coordinate"] = coordinator.last_report
     if inspector is not None:
         document["inspector"] = inspector.summary()
     if reporter is not None:
@@ -613,7 +582,9 @@ def cmd_sweep(args, out) -> int:
             if args.spec is not None:
                 # a named SPEC validates the merge: shards of a
                 # different sweep must not recombine under its flag
-                merged.bind(resolve_sweep_spec(args.spec).sweep_id())
+                merged.bind(resolve_sweep_spec(
+                    args.spec, warmup=args.warmup,
+                    measure=args.measure).sweep_id())
             results = merged.results()
             if args.json:
                 print(render_json({
@@ -637,15 +608,6 @@ def cmd_sweep(args, out) -> int:
     if args.resume and args.store is None:
         print("--resume requires --store PATH", file=out)
         return 2
-    if args.coordinate and args.shard is not None:
-        print("--coordinate drives every shard itself; it is "
-              "incompatible with --shard (use --shards K to set the "
-              "partition count)", file=out)
-        return 2
-    if args.shards is not None and not args.coordinate:
-        print("--shards only applies to --coordinate (to run a single "
-              "partition of the sweep, use --shard i/k)", file=out)
-        return 2
     if args.daemon is not None:
         contradictory = [
             ("--executor", args.executor is not None),
@@ -654,8 +616,6 @@ def cmd_sweep(args, out) -> int:
             ("--workers", args.workers is not None),
             ("--max-retries", args.max_retries is not None),
             ("--shard", args.shard is not None),
-            ("--coordinate", args.coordinate),
-            ("--shards", args.shards is not None),
         ]
         clashing = [flag for flag, given in contradictory if given]
         if clashing:
@@ -669,21 +629,11 @@ def cmd_sweep(args, out) -> int:
                   "'repro serve --inspect' (anomaly events stream "
                   "back to this client)", file=out)
             return 2
-    if args.coordinate and args.executor not in (None, "coordinator"):
-        print(f"--coordinate uses the coordinator executor; it is "
-              f"incompatible with --executor {args.executor}", file=out)
-        return 2
-    if args.executor == "coordinator" and not args.coordinate:
-        print("--executor coordinator is driven by --coordinate "
-              "(optionally with --shards K)", file=out)
-        return 2
     if args.workers is not None and args.executor != "remote":
         print("--workers only applies to --executor remote", file=out)
         return 2
-    if args.executor is None and args.max_retries is not None \
-            and not args.coordinate:
-        print("--max-retries needs --executor NAME (or --coordinate)",
-              file=out)
+    if args.executor is None and args.max_retries is not None:
+        print("--max-retries needs --executor NAME", file=out)
         return 2
     spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
                               measure=args.measure)
@@ -700,7 +650,6 @@ def cmd_sweep(args, out) -> int:
     reporter = _ProgressReporter(
         stream=sys.stderr if args.progress else None)
     inspector = SweepInspector(store=store) if args.inspect else None
-    coordinator = None
     try:
         if args.daemon is not None:
             results = submit_sweep(args.daemon, spec,
@@ -711,17 +660,6 @@ def cmd_sweep(args, out) -> int:
                 store.bind(spec.sweep_id()).touch()
                 for result in results:
                     store.add(result)
-        elif args.coordinate:
-            coordinator = CoordinatorBackend(
-                shards=args.shards,
-                jobs=None if args.jobs == 0 else args.jobs,
-                batch_size=args.batch_size,
-                max_retries=(1 if args.max_retries is None
-                             else args.max_retries))
-            results = coordinator.run(session, spec, store=store,
-                                      use_cache=not args.no_cache,
-                                      progress=reporter,
-                                      inspect=inspector)
         else:
             if args.executor is not None:
                 try:
@@ -749,19 +687,11 @@ def cmd_sweep(args, out) -> int:
     if args.json:
         print(render_json(_sweep_document(spec, results, args,
                                           reporter=reporter,
-                                          coordinator=coordinator,
                                           inspector=inspector)),
               file=out)
         return 0
-    if args.coordinate:
-        report = coordinator.last_report
-        note = (f" (coordinated {report['shards']} shards, "
-                f"{'/'.join(str(n) for n in report['per_shard'])} "
-                f"points)")
-    elif args.shard:
-        note = f" (shard {args.shard[0]}/{args.shard[1]})"
-    else:
-        note = ""
+    note = (f" (shard {args.shard[0]}/{args.shard[1]})"
+            if args.shard else "")
     print(render_sweep_summary(
         summarize(results),
         title=f"Sweep {spec.sweep_id()}{note}"), file=out)

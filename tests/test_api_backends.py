@@ -85,7 +85,7 @@ def test_pool_jobs_one_runs_in_process(tmp_path):
 
 def test_backend_protocol_runtime_check():
     """The local executors speak the submission protocol."""
-    for name in ("serial", "process-pool", "coordinator"):
+    for name in ("serial", "process-pool"):
         executor = build_executor(name)
         assert isinstance(executor, ExecutorBackend)
         assert as_executor(executor) is executor
@@ -103,9 +103,9 @@ def test_custom_executor_subclass_plugs_in(tmp_path):
             super().__init__()
             self.calls = 0
 
-        def submit(self, item, shard=None):
+        def submit(self, item):
             self.calls += 1
-            return super().submit(item, shard=shard)
+            return super().submit(item)
 
     backend = CountingExecutor()
     session = Session(cache_dir=str(tmp_path), backend=backend)

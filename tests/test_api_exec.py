@@ -1,5 +1,5 @@
 """The futures-based execution layer: submission, lifecycle events,
-retries, cancellation and the sweep coordinator."""
+retries, cancellation and whole sweeps over the worker pool."""
 
 import multiprocessing
 import os
@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (CoordinatorBackend, ExecutionCancelled,
-                       PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec, WorkerFailure, as_executor)
+from repro.api import (ExecutionCancelled, PoolExecutor, ResultStore,
+                       SerialExecutor, Session, SweepSpec, WorkerFailure,
+                       as_executor)
 from repro.api import exec as exec_mod
 from repro.core.params import baseline_params
 from repro.harness.config import SimConfig
@@ -116,7 +116,7 @@ def test_event_payloads_are_json_ready(tmp_path):
     payload = events[-1].to_dict()
     assert payload["kind"] == "finished"
     assert payload["workload"] == "compute_int"
-    assert "shard" not in payload  # None fields are omitted
+    assert "error" not in payload  # None fields are omitted
     assert payload["source"] == "simulated"
 
 
@@ -349,26 +349,23 @@ def test_pool_chunked_results_match_serial(tmp_path):
     assert [r.stats for r in chunked] == [r.stats for r in serial]
 
 
-# ---------------------------------------------------------- coordinator
-def test_coordinator_matches_serial_run(tmp_path):
+# ------------------------------------------------------ pooled sweeps
+def test_pool_sweep_matches_serial_run(tmp_path):
     spec = make_spec()
     with Session(cache_dir=str(tmp_path / "serial")) as session:
         serial = session.sweep(spec, use_cache=False)
 
-    store_path = tmp_path / "coordinated.jsonl"
-    coordinator = CoordinatorBackend(shards=3, jobs=2)
+    store_path = tmp_path / "pooled.jsonl"
     events = []
-    with Session(cache_dir=str(tmp_path / "coord")) as session, \
+    with Session(cache_dir=str(tmp_path / "pool")) as session, \
             ResultStore(store_path) as store:
-        results = coordinator.run(session, spec, store=store,
-                                  progress=events.append)
+        results = session.sweep(spec, backend=PoolExecutor(jobs=2),
+                                store=store, progress=events.append)
     assert [r.stats for r in results] == [r.stats for r in serial]
-    report = coordinator.last_report
-    assert report["shards"] == 3
-    assert sum(report["per_shard"]) == report["points"] == len(serial)
-    # every submission carries its shard tag
-    shard_tags = {e.shard for e in events if e.kind == "submitted"}
-    assert shard_tags <= set(range(3))
+    assert {r.backend for r in results} == {"process-pool"}
+    # every point was submitted once and finished once
+    kinds = Counter(e.kind for e in events)
+    assert kinds["submitted"] == kinds["finished"] == len(serial)
     # the store holds the full sweep, bound to its id
     with ResultStore(store_path) as store:
         assert store.sweep_id == spec.sweep_id()
@@ -378,21 +375,22 @@ def test_coordinator_matches_serial_run(tmp_path):
             assert stored[result.key].stats == result.stats
 
 
-def test_coordinator_resumes_from_store(tmp_path):
+def test_pool_sweep_resumes_from_store(tmp_path):
     spec = make_spec()
     store_path = tmp_path / "store.jsonl"
     with Session(cache_dir=str(tmp_path / "c1")) as session, \
             ResultStore(store_path) as store:
-        CoordinatorBackend(shards=2, jobs=1).run(session, spec,
-                                                 store=store)
+        session.sweep(spec, store=store)
+    dispatched = []
     with Session(cache_dir=str(tmp_path / "c2")) as session, \
             ResultStore(store_path) as store:
-        results = CoordinatorBackend(shards=4, jobs=2).run(
-            session, spec, store=store)
+        results = session.sweep(spec, backend=PoolExecutor(jobs=2),
+                                store=store, progress=dispatched.append)
     assert all(r.source == "store" for r in results)
+    assert dispatched == []  # nothing reached the pool
 
 
-def test_coordinator_refuses_wrong_store(tmp_path):
+def test_pool_sweep_refuses_wrong_store(tmp_path):
     spec = make_spec()
     store_path = tmp_path / "other.jsonl"
     with ResultStore(store_path, sweep_id="deadbeef") as store:
@@ -400,22 +398,13 @@ def test_coordinator_refuses_wrong_store(tmp_path):
     with Session(cache_dir=str(tmp_path)) as session, \
             ResultStore(store_path) as store:
         with pytest.raises(ValueError, match="belongs to sweep"):
-            CoordinatorBackend(shards=2).run(session, spec, store=store)
+            session.sweep(spec, backend=PoolExecutor(jobs=2), store=store)
 
 
-def test_coordinator_default_shards_follow_workers(tmp_path):
-    spec = make_spec()
-    coordinator = CoordinatorBackend(jobs=2)
-    with Session(cache_dir=str(tmp_path)) as session:
-        results = coordinator.run(session, spec, use_cache=False)
-    assert coordinator.last_report["shards"] == 2
-    assert len(results) == len(spec)
-
-
-def test_session_coordinate_entry_point(tmp_path):
+def test_session_sweep_runs_the_named_pool_executor(tmp_path):
     spec = make_spec()
     with Session(cache_dir=str(tmp_path)) as session:
-        results = session.coordinate(spec, shards=2, jobs=1)
+        results = session.sweep(spec, backend="process-pool")
     assert len(results) == len(spec)
     assert isinstance(results[0].stats["cycles"], int)
 

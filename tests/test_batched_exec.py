@@ -1,6 +1,6 @@
 """Trace-shared batched execution: batch formation on the queue, the
 session :class:`BatchRunner`, batched-vs-unbatched bit identity across
-serial/pool/remote/coordinator drives, the ``run_batch`` wire dialect
+serial/pool/remote drives, the ``run_batch`` wire dialect
 (including a worker dying mid-batch), and the sweep inspector seeing
 batched and unbatched runs identically."""
 
@@ -11,10 +11,10 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (CoordinatorBackend, RemoteExecutor, ResultStore,
-                       Session, SweepInspector, SweepSpec, WorkerServer,
+from repro.api import (RemoteExecutor, ResultStore, Session,
+                       SweepInspector, SweepSpec, WorkerServer,
                        build_executor)
-from repro.api.exec import DEFAULT_BATCH_SIZE, _batch_key
+from repro.api.exec import _batch_key
 from repro.api.remote.protocol import recv_frame, send_frame
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
@@ -59,7 +59,7 @@ class _Recorder:
 # ----------------------------------------------------------------------
 # batch formation on the submission queue
 # ----------------------------------------------------------------------
-def test_batch_key_separates_workload_length_cache_and_shard():
+def test_batch_key_separates_workload_length_and_cache():
     executor = build_executor("serial")
     base = executor.submit((0, config_for(), False))
     same = executor.submit((1, config_for(iq=32), False))
@@ -67,10 +67,8 @@ def test_batch_key_separates_workload_length_cache_and_shard():
                                       False))
     other_length = executor.submit((3, config_for(measure=130), False))
     other_cache = executor.submit((4, config_for(), True))
-    other_shard = executor.submit((5, config_for(), False), shard=1)
     assert _batch_key(base) == _batch_key(same)
-    for future in (other_workload, other_length, other_cache,
-                   other_shard):
+    for future in (other_workload, other_length, other_cache):
         assert _batch_key(future) != _batch_key(base)
 
 
@@ -219,14 +217,31 @@ def test_pool_batched_matches_serial_bit_identical(tmp_path):
 
 
 @needs_fork
-def test_coordinator_batched_matches_serial_across_shards(tmp_path):
-    spec = one_identity_spec(4)
+def test_pool_batched_sweep_matches_serial_and_resumes(tmp_path):
+    """A batched pool sweep over two trace identities lands the serial
+    statistics in its store, and an unbatched pool resume serves every
+    point from that store without dispatching anything."""
+    spec = SweepSpec(workloads=["compute_int", "stream_triad"],
+                     warmup=150, measure=120,
+                     axes={"core.iq_size": [16, 32, 48]})
     with Session(cache_dir=str(tmp_path / "serial")) as session:
         baseline = session.sweep(spec, use_cache=False)
-    coordinator = CoordinatorBackend(shards=2, jobs=2, batch_size=8)
-    with Session(cache_dir=str(tmp_path / "coord")) as session:
-        results = coordinator.run(session, spec, use_cache=False)
+    store_path = tmp_path / "pooled.jsonl"
+    with Session(cache_dir=str(tmp_path / "pool")) as session, \
+            ResultStore(store_path) as store:
+        results = session.sweep(
+            spec, use_cache=False, store=store,
+            backend=build_executor("process-pool", jobs=2, batch_size=8))
     assert [r.stats for r in results] == [r.stats for r in baseline]
+    recorder = _Recorder()
+    with Session(cache_dir=str(tmp_path / "resume")) as session, \
+            ResultStore(store_path) as store:
+        resumed = session.sweep(
+            spec, store=store, progress=recorder,
+            backend=build_executor("process-pool", jobs=2, batch_size=1))
+    assert [r.source for r in resumed] == ["store"] * len(spec)
+    assert [r.stats for r in resumed] == [r.stats for r in baseline]
+    assert recorder.events == []
 
 
 # ----------------------------------------------------------------------

@@ -215,6 +215,22 @@ def test_sweep_merge_validates_named_spec(tmp_path, monkeypatch):
                  "--store", str(tmp_path / "bad.jsonl")])
 
 
+def test_sweep_merge_validates_with_the_budget_flags(tmp_path, monkeypatch):
+    """--warmup/--measure shape the SPEC a merge is validated against,
+    exactly as they shape the shard runs being merged."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = write_spec(tmp_path)
+    budgets = ["--warmup", "100", "--measure", "90"]
+    store = tmp_path / "shard.jsonl"
+    assert run_cli(["sweep", str(spec), *budgets, "--no-cache",
+                    "--shard", "0/2", "--store", str(store)])[0] == 0
+    assert run_cli(["sweep", str(spec), *budgets, "--merge", str(store),
+                    "--store", str(tmp_path / "ok.jsonl")])[0] == 0
+    with pytest.raises(ValueError, match="belongs to sweep"):
+        run_cli(["sweep", str(spec), "--merge", str(store),
+                 "--store", str(tmp_path / "bad.jsonl")])
+
+
 def test_sweep_command_table_output(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     code, text = run_cli(["sweep", str(write_spec(tmp_path)),
@@ -260,46 +276,38 @@ def test_sweep_preset_resolves(tmp_path, monkeypatch):
     assert len(spec.workloads) == 15
 
 
-def test_sweep_coordinate_matches_serial(tmp_path, monkeypatch):
+def test_sweep_pool_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     spec = write_spec(tmp_path)
     serial_store = tmp_path / "serial.jsonl"
     code, _ = run_cli(["sweep", str(spec), "--no-cache",
                        "--store", str(serial_store)])
     assert code == 0
-    coord_store = tmp_path / "coordinated.jsonl"
-    code, text = run_cli(["sweep", str(spec), "--no-cache",
-                          "--coordinate", "--shards", "2", "--jobs", "2",
-                          "--store", str(coord_store), "--json"])
+    pool_store = tmp_path / "pooled.jsonl"
+    code, text = run_cli(["sweep", str(spec), "--no-cache", "--jobs", "2",
+                          "--store", str(pool_store), "--json"])
     assert code == 0
     payload = json.loads(text)
     assert payload["points"] == 2
-    assert payload["coordinate"]["shards"] == 2
-    assert sum(payload["coordinate"]["per_shard"]) == 2
+    assert {row["backend"] for row in payload["results"]} \
+        == {"process-pool"}
     # the lifecycle-event log rides the JSON document
     kinds = [event["kind"] for event in payload["events"]]
     assert kinds.count("submitted") == 2
     assert kinds.count("finished") == 2
     from repro.api import ResultStore
-    with ResultStore(serial_store) as a, ResultStore(coord_store) as b:
+    with ResultStore(serial_store) as a, ResultStore(pool_store) as b:
         left, right = a.load(), b.load()
         assert set(left) == set(right)
         assert all(left[key].stats == right[key].stats for key in left)
 
 
-def test_sweep_coordinate_table_reports_shards(tmp_path, monkeypatch):
+def test_sweep_table_reports_the_shard(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--no-cache", "--coordinate", "--shards", "2"])
+                          "--no-cache", "--shard", "1/2"])
     assert code == 0
-    assert "coordinated 2 shards" in text
-
-
-def test_sweep_coordinate_rejects_shard_flag(tmp_path):
-    code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--coordinate", "--shard", "0/2"])
-    assert code == 2
-    assert "incompatible with --shard" in text
+    assert "(shard 1/2)" in text
 
 
 def test_sweep_progress_renders_line_updates(tmp_path, monkeypatch,
@@ -323,10 +331,3 @@ def test_sweep_budget_overrides_apply(tmp_path, monkeypatch):
     configs = [row["config"] for row in payload["results"]]
     assert all(c["warmup"] == 100 and c["measure"] == 90
                for c in configs)
-
-
-def test_sweep_shards_requires_coordinate(tmp_path):
-    code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--shards", "4"])
-    assert code == 2
-    assert "--shards only applies to --coordinate" in text

@@ -2,8 +2,8 @@
 
 Each test is parametrized over the executor registry
 (:mod:`repro.api.executors`) and drives the same contract through
-every implementation — serial, process-pool, coordinator, remote (two
-in-process TCP workers) and mock:
+every implementation — serial, process-pool, remote (two in-process
+TCP workers) and mock:
 
 * lifecycle events are exactly-once per submitted configuration,
 * retry exhaustion surfaces :class:`~repro.api.exec.WorkerFailure`
@@ -81,11 +81,6 @@ def _pool(stack, tmp_path, max_retries, fail_indices):
                           max_retries=max_retries)
 
 
-def _coordinator(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("coordinator", jobs=2, batch_size=1,
-                          max_retries=max_retries)
-
-
 def _remote(stack, tmp_path, max_retries, fail_indices):
     servers = []
     for i in range(2):
@@ -109,16 +104,15 @@ def _mock(stack, tmp_path, max_retries, fail_indices):
 HARNESSES = {
     "serial": _serial,
     "process-pool": _pool,
-    "coordinator": _coordinator,
     "remote": _remote,
     "mock": _mock,
 }
 #: executors that really simulate (stats comparable to serial)
-REAL = ("serial", "process-pool", "coordinator", "remote")
+REAL = ("serial", "process-pool", "remote")
 
 EXECUTORS = [
     pytest.param(name, marks=needs_fork)
-    if name in ("process-pool", "coordinator") else name
+    if name == "process-pool" else name
     for name in sorted(HARNESSES)
 ]
 

@@ -1,11 +1,13 @@
 """Unit tests for the online sweep inspector: stat invariants,
 outlier baselines, operational alarms under a fake clock, anomaly
-sinks, and the ``inspect=`` argument normalisation."""
+sinks, summaries, compatibility with older stores, and the
+``inspect=`` argument normalisation."""
 
 import pytest
 
-from repro.api import (InspectorConfig, ResultStore, SimConfig,
-                       SimResult, SweepInspector, stat_invariants)
+from repro.api import (Annotation, InspectorConfig, MockExecutor,
+                       ResultStore, Session, SimConfig, SimResult,
+                       SweepInspector, SweepSpec, stat_invariants)
 from repro.api.exec import (EVENT_ANOMALY, EVENT_FINISHED,
                             EVENT_RETRIED, EVENT_STARTED,
                             EVENT_SUBMITTED, ExecEvent)
@@ -151,22 +153,49 @@ def test_retry_rate_alarm_latches_once():
     assert not flagged[0].quarantine
 
 
-def test_dead_shard_alarm_fires_on_silence():
+def test_a_long_wait_for_dispatch_raises_no_alarm(tmp_path):
+    """Points queued behind a long drive are not silent failures: with
+    a clock that jumps 50 s on every read, a whole mock sweep lands
+    with no anomaly at all."""
     clock = FakeClock()
-    inspector = SweepInspector(clock=clock)
-    inspector(event(EVENT_SUBMITTED, key="k0", shard=1))
-    inspector(event(EVENT_SUBMITTED, key="k1", shard=1))
-    # unsharded work (shard None) never counts as a dead shard
-    inspector(event(EVENT_SUBMITTED, key="k2"))
-    clock.now += inspector.config.dead_shard_timeout_s + 1
-    inspector.check_alarms()
-    flagged = [a for a in inspector.anomalies
-               if a.check == "dead-shard"]
-    assert len(flagged) == 1
-    assert flagged[0].values["shard"] == 1
-    assert flagged[0].values["outstanding"] == 2
-    inspector.check_alarms()  # latched: no duplicate alarm
-    assert len(inspector.anomalies) == 1
+
+    def slow_clock():
+        clock.now += 50.0
+        return clock.now
+
+    spec = SweepSpec(workloads=["compute_int", "stream_triad"],
+                     warmup=50, measure=40,
+                     axes={"core.iq_size": [16, 32, 48, 64, 80, 96]})
+    inspector = SweepInspector(clock=slow_clock)
+    with Session(cache_dir=str(tmp_path)) as session:
+        results = session.sweep(spec, backend=MockExecutor(),
+                                use_cache=False, inspect=inspector)
+    assert len(results) == 12
+    assert inspector.anomalies == []
+    assert inspector.summary()["finished"] == 12
+
+
+def test_retired_alarm_rows_and_executor_names_still_load(tmp_path):
+    """Stores written by earlier releases keep loading: result rows from
+    the retired in-process coordinator and ``dead-shard`` alarm rows."""
+    path = tmp_path / "old.jsonl"
+    row = make_result()
+    row.backend = "coordinator"
+    with ResultStore(path, sweep_id="0123abcd") as store:
+        store.add(row)
+        store.annotate(Annotation(
+            key="alarm:shard-1", check="dead-shard",
+            detail="shard 1 silent for 350s with 5 points outstanding",
+            quarantine=False,
+            values={"shard": 1, "outstanding": 5, "silent_s": 350.0}))
+    text = path.read_text()
+    assert '"backend": "coordinator"' in text
+    assert '"check": "dead-shard"' in text
+    reopened = ResultStore(path)
+    assert reopened.get(row.key).backend == "coordinator"
+    assert reopened.get(row.key).stats == row.stats
+    assert [a.check for a in reopened.annotations()] == ["dead-shard"]
+    assert reopened.quarantined_keys() == []
 
 
 # --------------------------------------------------------------- sinks
@@ -206,19 +235,24 @@ def test_on_anomaly_callback_receives_annotations():
 def test_summary_counts_events_and_anomalies():
     clock = FakeClock()
     inspector = SweepInspector(clock=clock)
-    inspector(event(EVENT_SUBMITTED, key="k0", shard=0))
-    inspector(event(EVENT_STARTED, key="k0", shard=0))
+    inspector(event(EVENT_SUBMITTED, key="k0"))
+    inspector(event(EVENT_SUBMITTED, key="k1", index=1))
+    inspector(event(EVENT_STARTED, key="k0"))
     clock.now += 2.0
-    inspector(event(EVENT_FINISHED, key="k0", shard=0))
+    inspector(event(EVENT_FINISHED, key="k0"))
     inspector.observe(make_result())
     inspector.observe(make_result(committed=107))
     summary = inspector.summary()
     assert summary["observed"] == 2
+    assert summary["submitted"] == 2
+    assert summary["started"] == 1
     assert summary["finished"] == 1
+    assert summary["failed"] == summary["cancelled"] == 0
+    assert summary["outstanding"] == 1
     assert summary["elapsed_s"] == 2.0
+    assert summary["throughput_per_s"] == 0.5
     assert len(summary["anomalies"]) == 1
     assert len(summary["quarantined"]) == 1
-    assert summary["shards"]["0"]["finished"] == 1
 
 
 # ------------------------------------------------------- normalisation

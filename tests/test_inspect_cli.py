@@ -71,23 +71,21 @@ class _TtyStream(io.StringIO):
         return True
 
 
-def test_progress_renders_live_line_and_shard_throughput_on_tty():
+def test_progress_renders_live_line_and_anomalies_on_tty():
     clock_value = [0.0]
     stream = _TtyStream()
     reporter = _ProgressReporter(stream=stream,
                                  clock=lambda: clock_value[0])
     for index in range(2):
-        reporter(event("submitted", key=f"k{index}", index=index,
-                       shard=0))
-    reporter(event("started", shard=0))
+        reporter(event("submitted", key=f"k{index}", index=index))
+    reporter(event("started"))
     clock_value[0] = 2.0
-    reporter(event("finished", shard=0))
+    reporter(event("finished"))
     reporter(event("anomaly", error="outlier: ipc=2 vs median 1"))
     reporter.close()
     text = stream.getvalue()
     assert "\r" in text  # live single-line refresh
     assert "ETA" in text  # 1 of 2 done, rate known -> projected finish
-    assert "shard throughput: s0:" in text
     assert "anomaly: outlier: ipc=2 vs median 1" in text
 
 
